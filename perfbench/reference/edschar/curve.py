@@ -1,0 +1,412 @@
+"""Short Weierstrass curves y^2 = x^3 + A x + B over F_p.
+
+Points are either ``None`` (the point at infinity) or frozen :class:`Point`
+records with canonical int coordinates.  The group operations use affine
+chord-and-tangent formulas; scalar multiplication is double-and-add.
+
+Curve order is computed by direct point counting for p <= 10**4 and by
+baby-step giant-step annihilator search in the Hasse interval for larger p
+(guarded at p <= 10**9).  Point orders are derived from the group order by
+stripping prime factors.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .field import PrimeField, factorize, field
+
+ENUM_ORDER_MAX = 10_000  # counting strategy switchover
+ENUMERATION_MAX = 1_000_000  # hard guard for materializing all points
+ORDER_MAX = 1_000_000_000  # hard guard for any order computation
+STRUCTURE_MAX = 1_000_000  # hard guard for group-structure decomposition
+
+
+@dataclass(frozen=True)
+class Point:
+    x: int
+    y: int
+
+
+class EllipticCurve:
+    """Nonsingular short Weierstrass curve over a prime field."""
+
+    __slots__ = ("field", "p", "a", "b", "_order", "_structure", "_grid")
+
+    def __init__(self, p: int | PrimeField, a: int, b: int):
+        f = p if isinstance(p, PrimeField) else field(p)
+        self.field = f
+        self.p = f.p
+        self.a = a % f.p
+        self.b = b % f.p
+        if (4 * self.a**3 + 27 * self.b**2) % f.p == 0:
+            raise ValueError(
+                f"singular curve: 4A^3 + 27B^2 = 0 mod {f.p} for A={self.a}, B={self.b}"
+            )
+        self._order: int | None = None
+        self._structure = None
+        self._grid = None
+
+    def __repr__(self) -> str:
+        return f"EllipticCurve(p={self.p}, a={self.a}, b={self.b})"
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, EllipticCurve)
+            and (other.p, other.a, other.b) == (self.p, self.a, self.b)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.a, self.b))
+
+    def rhs(self, x: int) -> int:
+        p = self.p
+        return (x * x % p * x + self.a * x + self.b) % p
+
+    def contains(self, point: Point | None) -> bool:
+        if point is None:
+            return True
+        if not (0 <= point.x < self.p and 0 <= point.y < self.p):
+            return False
+        return point.y * point.y % self.p == self.rhs(point.x)
+
+    def validate_point(self, point: Point | None) -> None:
+        if not self.contains(point):
+            raise ValueError(f"point {point} is not on {self!r}")
+
+    def neg(self, point: Point | None) -> Point | None:
+        if point is None:
+            return None
+        return Point(point.x, -point.y % self.p)
+
+    def add(self, p1: Point | None, p2: Point | None) -> Point | None:
+        if p1 is None:
+            return p2
+        if p2 is None:
+            return p1
+        p = self.p
+        if p1.x == p2.x:
+            if (p1.y + p2.y) % p == 0:
+                return None
+            lam = (3 * p1.x * p1.x + self.a) * pow(2 * p1.y, -1, p) % p
+        else:
+            lam = (p2.y - p1.y) * pow(p2.x - p1.x, -1, p) % p
+        x3 = (lam * lam - p1.x - p2.x) % p
+        y3 = (lam * (p1.x - x3) - p1.y) % p
+        return Point(x3, y3)
+
+    def mul(self, n: int, point: Point | None) -> Point | None:
+        """Scalar multiple [n]P, any integer n."""
+        if n < 0:
+            n, point = -n, self.neg(point)
+        acc: Point | None = None
+        while n:
+            if n & 1:
+                acc = self.add(acc, point)
+            point = self.add(point, point)
+            n >>= 1
+        return acc
+
+    def lift_x(self, x: int) -> list[Point]:
+        """Points with abscissa x, y ascending (0, 1 or 2 of them)."""
+        r = self.rhs(x)
+        if r == 0:
+            return [Point(x, 0)]
+        y = self.field.sqrt(r)
+        if y is None:
+            return []
+        return [Point(x, y), Point(x, self.p - y)]
+
+    def random_point(
+        self, rng, nonzero_y: bool = False, max_tries: int | None = None
+    ) -> Point | None:
+        """Uniform-ish affine point from rng (random x, then a root).
+
+        With nonzero_y=True, pass max_tries to bound the search: a few tiny
+        curves consist entirely of 2-torsion and would otherwise never yield.
+        Returns None when the bound is exhausted.
+        """
+        tries = 0
+        while max_tries is None or tries < max_tries:
+            tries += 1
+            x = rng.randrange(self.p)
+            r = self.rhs(x)
+            if r == 0:
+                if nonzero_y:
+                    continue
+                return Point(x, 0)
+            if self.field.chi(r) == 1:
+                y = self.field.sqrt(r)
+                return Point(x, y if rng.randrange(2) == 0 else self.p - y)
+        return None
+
+
+def enumerate_points(curve: EllipticCurve) -> list[Point | None]:
+    """All points, infinity first, affine points in (x, y) lexicographic order."""
+    p = curve.p
+    if p > ENUMERATION_MAX:
+        raise ValueError(
+            f"point enumeration guarded at p <= {ENUMERATION_MAX}; "
+            "use random_point sampling instead"
+        )
+    xs = np.arange(p, dtype=np.int64)
+    rhs = (xs * xs % p * xs + curve.a * xs + curve.b) % p
+    chi = curve.field.chi_table()[rhs]
+    points: list[Point | None] = [None]
+    fld = curve.field
+    for x in np.nonzero(chi >= 0)[0]:
+        x = int(x)
+        r = int(rhs[x])
+        if r == 0:
+            points.append(Point(x, 0))
+        else:
+            y = fld.sqrt(r)
+            points.append(Point(x, y))
+            points.append(Point(x, p - y))
+    return points
+
+
+def _count_points(curve: EllipticCurve) -> int:
+    """#E(F_p) by summing 1 + chi(x^3 + Ax + B) over x, plus infinity."""
+    p = curve.p
+    xs = np.arange(p, dtype=np.int64)
+    rhs = (xs * xs % p * xs + curve.a * xs + curve.b) % p
+    return p + 1 + int(curve.field.chi_table()[rhs].sum())
+
+
+def _hasse_interval(p: int) -> tuple[int, int]:
+    w = math.isqrt(4 * p)
+    return p + 1 - w, p + 1 + w
+
+
+def _bsgs_annihilator(curve: EllipticCurve, point: Point) -> int:
+    """Some multiple of ord(point) inside the Hasse interval, via BSGS."""
+    lo, hi = _hasse_interval(curve.p)
+    span = hi - lo + 1
+    s = math.isqrt(span) + 1
+    baby: dict[Point | None, int] = {}
+    q: Point | None = None
+    for j in range(s):
+        baby.setdefault(q, j)
+        q = curve.add(q, point)
+    giant = curve.mul(s, point)
+    t = curve.mul(lo, point)
+    for i in range(span // s + 2):
+        j = baby.get(curve.neg(t))
+        if j is not None:
+            k = lo + i * s + j
+            if lo <= k <= hi:
+                return k
+        t = curve.add(t, giant)
+    raise AssertionError("no annihilator in Hasse interval (non-prime modulus?)")
+
+
+def _order_from_multiple(curve: EllipticCurve, point: Point | None, k: int) -> int:
+    """Exact ord(point) given [k]point = O."""
+    d = k
+    for q in factorize(k):
+        while d % q == 0 and curve.mul(d // q, point) is None:
+            d //= q
+    return d
+
+
+class _DetRng:
+    """Tiny deterministic generator (splitmix64 core) for internal sampling."""
+
+    __slots__ = ("state",)
+    _MASK = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self.state = seed & self._MASK
+
+    def next64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        return z ^ (z >> 31)
+
+    def randrange(self, n: int) -> int:
+        return self.next64() % n
+
+
+def curve_order(curve: EllipticCurve) -> int:
+    """#E(F_p).  Enumeration for p <= 10**4, BSGS + lcm of point orders above."""
+    if curve._order is not None:
+        return curve._order
+    p = curve.p
+    if p > ORDER_MAX:
+        raise ValueError(f"order computation guarded at p <= {ORDER_MAX}")
+    if p <= ENUM_ORDER_MAX:
+        n = _count_points(curve)
+    else:
+        n = _bsgs_group_order(curve)
+    lo, hi = _hasse_interval(p)
+    assert lo <= n <= hi
+    curve._order = n
+    return n
+
+
+def _bsgs_group_order(curve: EllipticCurve) -> int:
+    p = curve.p
+    lo, hi = _hasse_interval(p)
+    rng = _DetRng((p * 0x9E3779B97F4A7C15) ^ (curve.a << 1) ^ curve.b)
+    exponent = 1
+    candidates: list[int] = []
+    for attempt in range(48):
+        q = curve.random_point(rng)
+        k = _bsgs_annihilator(curve, q)
+        exponent = math.lcm(exponent, _order_from_multiple(curve, q, k))
+        start = (lo + exponent - 1) // exponent * exponent
+        candidates = list(range(start, hi + 1, exponent))
+        if len(candidates) == 1:
+            return candidates[0]
+        if attempt >= 7:
+            # Sampled orders have almost surely hit the group exponent M; the
+            # cofactor L = N/M must divide both M and p - 1.
+            g = math.gcd(exponent, p - 1)
+            filtered = [n for n in candidates if g % (n // exponent) == 0]
+            if len(filtered) == 1:
+                return filtered[0]
+    # Resolve the tie through the quadratic twist: orders pair up to 2p + 2.
+    z = 2
+    while curve.field.chi(z) != -1:
+        z += 1
+    twist = EllipticCurve(curve.field, curve.a * z * z % p, curve.b * z**3 % p)
+    t_exponent = 1
+    for _ in range(48):
+        q = twist.random_point(rng)
+        k = _bsgs_annihilator(twist, q)
+        t_exponent = math.lcm(t_exponent, _order_from_multiple(twist, q, k))
+        matches = [
+            n for n in candidates if (2 * p + 2 - n) % t_exponent == 0
+        ]
+        if len(matches) == 1:
+            return matches[0]
+    raise RuntimeError(f"group order of {curve!r} remained ambiguous")
+
+
+def point_order(curve: EllipticCurve, point: Point | None) -> int:
+    """Order of a point: reduce #E(F_p) by its prime factors."""
+    curve.validate_point(point)
+    if point is None:
+        return 1
+    return _order_from_multiple(curve, point, curve_order(curve))
+
+
+@dataclass(frozen=True)
+class GroupStructure:
+    """E(F_p) ~ Z/M x Z/L in echelon form: L | M, every point is m*gen_m + l*gen_l."""
+
+    m: int
+    l: int
+    gen_m: Point
+    gen_l: Point | None
+    size: int
+
+
+def _iter_candidate_points(curve: EllipticCurve):
+    """Affine points in (x, y)-lexicographic order (x ascending, y ascending)."""
+    for x in range(curve.p):
+        yield from curve.lift_x(x)
+
+
+def _independent_order_l(
+    curve: EllipticCurve, gen_m: Point, m: int, cand: Point, l: int
+) -> bool:
+    """True if <cand> (order l) meets <gen_m> trivially, checked prime by prime."""
+    for q in factorize(l):
+        probe = curve.mul(l // q, cand)
+        step = curve.mul(m // q, gen_m)
+        torsion: Point | None = None
+        for _ in range(q):
+            if probe == torsion:
+                return False
+            torsion = curve.add(torsion, step)
+    return True
+
+
+def group_structure(curve: EllipticCurve) -> GroupStructure:
+    """Echelonized generators of E(F_p), deterministic, guarded at p <= 10**6."""
+    if curve._structure is not None:
+        return curve._structure
+    p = curve.p
+    if p > STRUCTURE_MAX:
+        raise ValueError(f"group structure guarded at p <= {STRUCTURE_MAX}")
+    n = curve_order(curve)
+    n_fac = factorize(n)
+    # exponents M compatible with N = M*L, L | M, L | p - 1
+    divs = [1]
+    for q, e in n_fac.items():
+        divs = [d * q**k for d in divs for k in range(e + 1)]
+    feasible = sorted(
+        (
+            m
+            for m in divs
+            if n % m == 0 and m % (n // m) == 0 and (p - 1) % (n // m) == 0
+        ),
+        reverse=True,
+    )
+    max_feasible = feasible[0]
+
+    best_order = 0
+    gen_m: Point | None = None
+    scanned: list[tuple[Point, int]] = []
+    for point in _iter_candidate_points(curve):
+        order = _order_from_multiple(curve, point, n)
+        if len(scanned) < 100_000:
+            scanned.append((point, order))
+        if order > best_order:
+            best_order, gen_m = order, point
+        if best_order == max_feasible:
+            break
+    m = best_order
+    if m not in feasible:
+        raise AssertionError("observed exponent incompatible with group order")
+    l = n // m
+    gen_l: Point | None = None
+    if l > 1:
+        for point, order in scanned:
+            if order % l == 0:
+                cand = curve.mul(order // l, point)
+                if _independent_order_l(curve, gen_m, m, cand, l):
+                    gen_l = cand
+                    break
+        if gen_l is None:
+            for point in _iter_candidate_points(curve):
+                order = _order_from_multiple(curve, point, n)
+                if order % l == 0:
+                    cand = curve.mul(order // l, point)
+                    if _independent_order_l(curve, gen_m, m, cand, l):
+                        gen_l = cand
+                        break
+        if gen_l is None:
+            raise RuntimeError(f"no independent order-{l} generator found on {curve!r}")
+    structure = GroupStructure(m=m, l=l, gen_m=gen_m, gen_l=gen_l, size=n)
+    if n <= 20_000:
+        _verify_structure_exhaustively(curve, structure)
+    curve._structure = structure
+    return structure
+
+
+def _verify_structure_exhaustively(curve: EllipticCurve, s: GroupStructure) -> None:
+    """Check that the M*L combinations m*gen_m + l*gen_l are pairwise distinct."""
+    seen: set[Point | None] = set()
+    row_base: Point | None = None
+    for _ in range(s.m):
+        q = row_base
+        for _ in range(s.l):
+            seen.add(q)
+            q = curve.add(q, s.gen_l)
+        row_base = curve.add(row_base, s.gen_m)
+    if len(seen) != s.size:
+        raise AssertionError(f"generator combinations collide on {curve!r}")
+
+
+def max_order_point(curve: EllipticCurve) -> tuple[Point, int]:
+    """First point in (x, y)-lex order whose order equals the group exponent."""
+    s = group_structure(curve)
+    return s.gen_m, s.m

@@ -1,0 +1,939 @@
+"""Experiment drivers: reproducible sweeps, scans, and benchmarks.
+
+Every randomized driver takes an integer seed and derives per-prime streams
+with a fixed splitmix64 generator, so runs are reproducible across platforms,
+Python versions, and worker counts.  Scan output is a list of JSON-ready
+records with a fixed schema (see make_record); records sort by prime so
+multi-process runs are byte-identical to single-process runs apart from the
+"ts" wall-clock field.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import time
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+
+from . import charsum
+from .curve import (
+    EllipticCurve,
+    Point,
+    enumerate_points,
+    group_structure,
+    max_order_point,
+    point_order,
+)
+from .eds import (
+    EdsView,
+    PsiEvaluator,
+    psi_sequence,
+    psi_window,
+    recurrence_residual,
+    sequence_period,
+    verify_index_product,
+    verify_shift_identity,
+    x_only_psi,
+)
+from .field import PrimeField, field, is_probable_prime, primes_in
+from .symbolic import division_poly_tower, psi_symbolic
+
+SCHEMA_VERSION = "1"
+
+_MASK64 = (1 << 64) - 1
+# per-prime stream decorrelation multiplier (odd 64-bit constant)
+STREAM_MULT = 0xD1B54A32D192ED03
+
+
+class SplitMix64:
+    """splitmix64: the pinned PRNG behind every seeded driver.
+
+    state <- state + 0x9E3779B97F4A7C15 (mod 2^64); output mixes the state
+    with xor-shift-multiply rounds 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB.
+    randrange uses rejection sampling, so streams are unbiased and the
+    sequence of draws for a given seed is fully determined by this file.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK64
+
+    def next64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def randrange(self, a: int, b: int | None = None) -> int:
+        """Uniform integer in [0, a) or [a, b), rejection-sampled."""
+        lo, hi = (0, a) if b is None else (a, b)
+        width = hi - lo
+        if width <= 0:
+            raise ValueError(f"empty range [{lo}, {hi})")
+        limit = (_MASK64 + 1) - (_MASK64 + 1) % width
+        while True:
+            v = self.next64()
+            if v < limit:
+                return lo + v % width
+
+    def choice(self, seq):
+        return seq[self.randrange(0, len(seq))]
+
+
+def stream(seed: int, p: int) -> SplitMix64:
+    """The per-prime random stream used by scans and sweeps."""
+    return SplitMix64(seed ^ (p * STREAM_MULT & _MASK64))
+
+
+def random_curve(fld: PrimeField, rng: SplitMix64) -> EllipticCurve:
+    p = fld.p
+    while True:
+        a = rng.randrange(0, p)
+        b = rng.randrange(0, p)
+        if (4 * a * a * a + 27 * b * b) % p:
+            return EllipticCurve(fld, a, b)
+
+
+def random_view(curve: EllipticCurve, rng: SplitMix64) -> EdsView | None:
+    """A sequence view at a random point with y != 0 (hence order >= 3).
+
+    None when the curve offers no such point (an all-2-torsion group).
+    """
+    pt = curve.random_point(rng, nonzero_y=True, max_tries=128)
+    if pt is None:
+        return None
+    return EdsView(curve, pt, r=point_order(curve, pt))
+
+
+def seeded_view(p: int, seed: int) -> EdsView:
+    """The canonical seeded (curve, point) view at a prime; retries curves
+    until one offers a usable point."""
+    fld = field(p)
+    rng = stream(seed, p)
+    while True:
+        curve = random_curve(fld, rng)
+        view = random_view(curve, rng)
+        if view is not None:
+            return view
+
+
+def largest_prime_below(n: int) -> int:
+    c = n - 1
+    if c % 2 == 0:
+        c -= 1
+    while not is_probable_prime(c):
+        c -= 2
+    return c
+
+
+def make_record(kind: str, view: EdsView | None, payload: dict, seed: int) -> dict:
+    rec = {
+        "kind": kind,
+        "version": SCHEMA_VERSION,
+        "seed": seed,
+        "ts": time.time(),
+        "payload": payload,
+    }
+    if view is not None:
+        rec["curve"] = {"p": view.curve.p, "a": view.curve.a, "b": view.curve.b}
+        rec["point"] = {"x": view.point.x, "y": view.point.y}
+        rec["r"] = view.r
+        rec["R"] = view.window_length
+    return rec
+
+
+def strip_ts(record: dict) -> dict:
+    """Record with the wall-clock field removed, for determinism comparisons."""
+    return {k: v for k, v in record.items() if k != "ts"}
+
+
+# -- vectorized discrete-log tables for small fields ---------------------------
+
+_dlog_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _dlog_tables(fld: PrimeField) -> tuple[np.ndarray, np.ndarray]:
+    """(log, pow) tables for the smallest primitive root; log[0] = -1."""
+    got = _dlog_cache.get(fld.p)
+    if got is not None:
+        return got
+    p = fld.p
+    g = fld.primitive_root()
+    pow_arr = np.empty(p - 1, dtype=np.int64)
+    log_arr = np.full(p, -1, dtype=np.int64)
+    v = 1
+    for i in range(p - 1):
+        pow_arr[i] = v
+        log_arr[v] = i
+        v = v * g % p
+    if len(_dlog_cache) > 64:
+        _dlog_cache.clear()
+    _dlog_cache[p] = (log_arr, pow_arr)
+    return log_arr, pow_arr
+
+
+# -- sweep: three-term recurrence ----------------------------------------------
+
+
+def sweep_recurrence(
+    n_tuples: int = 10_000,
+    seed: int = 0,
+    p_lo: int = 5,
+    p_hi: int = 10_000,
+    views: int = 500,
+    index_bound: int = 1_000_000,
+) -> dict:
+    """Evaluate the defining three-term quadratic recurrence residual at random
+    index triples (h, i, j) drawn from [-index_bound, index_bound], spanning
+    negative indices and index collisions, across random views."""
+    primes = primes_in(p_lo, p_hi)
+    rng = SplitMix64(seed)
+    per_view = max(1, -(-n_tuples // views))
+    stats = {"tuples": 0, "views": 0, "failures": []}
+    while stats["tuples"] < n_tuples:
+        p = rng.choice(primes)
+        view = random_view(random_curve(field(p), rng), rng)
+        if view is None:
+            continue
+        stats["views"] += 1
+        for _ in range(min(per_view, n_tuples - stats["tuples"])):
+            h = rng.randrange(-index_bound, index_bound + 1)
+            i = rng.randrange(-index_bound, index_bound + 1)
+            j = rng.randrange(-index_bound, index_bound + 1)
+            res = recurrence_residual(view, h, i, j)
+            stats["tuples"] += 1
+            if res != 0:
+                stats["failures"].append(
+                    {"p": p, "a": view.curve.a, "b": view.curve.b, "hij": [h, i, j], "residual": res}
+                )
+    return stats
+
+
+# -- sweep: every curve and point over small fields ----------------------------
+
+
+def _check_view_small(view: EdsView, s_max: int, stats: dict, deep_period: bool) -> None:
+    fld = view.curve.field
+    p, r = fld.p, view.r
+    wlen = (s_max + 1) * r + 3
+    w = psi_window(view, wlen)
+    arr = np.array(w[1:], dtype=np.int64)  # arr[k-1] = psi_k
+
+    # zeros exactly at the multiples of the point order
+    zero_idx = np.flatnonzero(arr == 0) + 1
+    if not np.array_equal(zero_idx, np.arange(r, wlen + 1, r)):
+        stats["failures"].append({"view": repr(view), "check": "zero-pattern"})
+        return
+
+    # shift blocks: psi_{sr+k} = a^(ks) b^(s^2) psi_k, via discrete logs
+    log_arr, pow_arr = _dlog_tables(fld)
+    la, lb = int(log_arr[view.mult_a]), int(log_arr[view.mult_b])
+    ks = np.arange(1, r + 1, dtype=np.int64)
+    base = arr[:r]
+    for s in range(1, s_max + 1):
+        mult = pow_arr[(la * s * ks + lb * s * s) % (p - 1)]
+        if not np.array_equal(arr[s * r : s * r + r], mult * base % p):
+            stats["failures"].append({"view": repr(view), "check": "shift", "s": s})
+            return
+        stats["shift_checks"] += r
+
+    # quadratic character window: minimal period is r or 2r, matching the
+    # prediction from the character values of the shift constants
+    chi6 = fld.chi_table()[arr]
+    if np.array_equal(chi6[:-r], chi6[r:]):
+        found = r
+    elif np.array_equal(chi6[: -2 * r], chi6[2 * r :]):
+        found = 2 * r
+    else:
+        stats["failures"].append({"view": repr(view), "check": "chi-period"})
+        return
+    predicted = charsum.order_d_period(view, 2)
+    if found != predicted or (2 * r) % found != 0:
+        stats["failures"].append(
+            {
+                "view": repr(view),
+                "check": "chi-period-prediction",
+                "found": found,
+                "predicted": predicted,
+            }
+        )
+        return
+    stats["chi_period_r" if found == r else "chi_period_2r"] += 1
+
+    if deep_period:
+        stats["period_samples"] += 1
+        sp = sequence_period(view, spot_checks=20, seed=p)
+        s0 = sp.shift_steps
+        deep = psi_window(view, s0 * r + 3)
+        for s in range(1, s0):
+            if deep[1 + s * r] == deep[1] and deep[2 + s * r] == deep[2]:
+                stats["failures"].append(
+                    {"view": repr(view), "check": "period-minimality", "s": s}
+                )
+                return
+
+
+def sweep_small_fields(
+    p_min: int = 5, p_max: int = 50, s_max: int = 5, period_sample: int = 50
+) -> dict:
+    """Exhaustive shift-identity and character-period check: every nonsingular
+    curve over every prime in [p_min, p_max], every point with y != 0."""
+    stats = {
+        "curves": 0,
+        "views": 0,
+        "skipped_points": 0,
+        "shift_checks": 0,
+        "chi_period_r": 0,
+        "chi_period_2r": 0,
+        "period_samples": 0,
+        "failures": [],
+    }
+    for p in primes_in(p_min, p_max):
+        fld = field(p)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a * a * a + 27 * b * b) % p == 0:
+                    continue
+                curve = EllipticCurve(fld, a, b)
+                stats["curves"] += 1
+                for pt in enumerate_points(curve):
+                    if pt is None or pt.y == 0:
+                        stats["skipped_points"] += 1
+                        continue
+                    view = EdsView(curve, pt, r=point_order(curve, pt))
+                    _check_view_small(
+                        view, s_max, stats, deep_period=stats["views"] % period_sample == 0
+                    )
+                    stats["views"] += 1
+    return stats
+
+
+# -- sweep: index-product identity ----------------------------------------------
+
+
+def sweep_index_product(
+    trials: int = 1000,
+    seed: int = 0,
+    p_lo: int = 5,
+    p_hi: int = 1000,
+    nm_max: int = 1000,
+    edge_trials: int = 40,
+) -> dict:
+    """psi_{nm}(P) = psi_n([m]P) psi_m(P)^(n^2) at uniform random (view, n, m)
+    with n, m <= nm_max, plus extra forced visits (counted separately) to the
+    degenerate branches [m]P = O and [m]P of order 2."""
+    primes = primes_in(p_lo, p_hi)
+    rng = SplitMix64(seed)
+    stats = {
+        "trials": 0,
+        "edge_trials": 0,
+        "edge_infinity": 0,
+        "edge_two_torsion": 0,
+        "failures": [],
+    }
+
+    def check(view: EdsView, n: int, m: int) -> None:
+        q = view.curve.mul(m, view.point)
+        if q is None:
+            stats["edge_infinity"] += 1
+        elif q.y == 0:
+            stats["edge_two_torsion"] += 1
+        if not verify_index_product(view, n, m):
+            stats["failures"].append(
+                {
+                    "p": view.curve.p,
+                    "a": view.curve.a,
+                    "b": view.curve.b,
+                    "point": {"x": view.point.x, "y": view.point.y},
+                    "n": n,
+                    "m": m,
+                }
+            )
+
+    while stats["trials"] < trials:
+        p = rng.choice(primes)
+        view = random_view(random_curve(field(p), rng), rng)
+        if view is None:
+            continue
+        n = rng.randrange(1, nm_max + 1)
+        m = rng.randrange(1, nm_max + 1)
+        check(view, n, m)
+        stats["trials"] += 1
+    while stats["edge_trials"] < edge_trials:
+        p = rng.choice(primes)
+        view = random_view(random_curve(field(p), rng), rng)
+        if view is None:
+            continue
+        n = rng.randrange(1, nm_max + 1)
+        if stats["edge_trials"] % 2 == 0:
+            m = view.r * rng.randrange(1, 4)  # [m]P = O branch
+        elif view.r % 2 == 0:
+            m = (view.r // 2) * (2 * rng.randrange(0, 2) + 1)  # [m]P of order 2
+        else:
+            m = view.r * rng.randrange(1, 4)
+        check(view, n, m)
+        stats["edge_trials"] += 1
+    return stats
+
+
+# -- sweep: oracle equivalence ---------------------------------------------------
+
+
+def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) -> dict:
+    """Independent evaluation paths agree termwise on every curve over every
+    prime in [p_min, p_max]: symbolic division polynomials (coefficient
+    arithmetic, folded mod x^p - x), the doubling-path evaluator, the four-term
+    sliding window, and the streaming generator."""
+    stats = {"curves": 0, "values": 0, "skipped_curves": 0, "failures": []}
+    for p in primes_in(p_min, p_max):
+        fld = field(p)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a * a * a + 27 * b * b) % p == 0:
+                    continue
+                curve = EllipticCurve(fld, a, b)
+                pt = next(
+                    (q for q in enumerate_points(curve) if q is not None and q.y != 0),
+                    None,
+                )
+                if pt is None:
+                    stats["skipped_curves"] += 1
+                    continue
+                stats["curves"] += 1
+                view = EdsView(curve, pt, r=point_order(curve, pt))
+                tower = division_poly_tower(curve, n_max, fold=True)
+                w = psi_window(view, n_max)
+                stream_vals = list(psi_sequence(view, n_max))
+                for n in range(1, n_max + 1):
+                    sym = psi_symbolic(curve, pt, n, tower)
+                    dbl = view.psi(n)
+                    if not (sym == dbl == w[n] == stream_vals[n - 1]):
+                        stats["failures"].append(
+                            {
+                                "p": p,
+                                "a": a,
+                                "b": b,
+                                "n": n,
+                                "symbolic": sym,
+                                "doubling": dbl,
+                                "window": w[n],
+                                "stream": stream_vals[n - 1],
+                            }
+                        )
+                    stats["values"] += 1
+    return stats
+
+
+def sweep_oracle_random(
+    n_curves: int = 50, seed: int = 0, n_max: int = 2000, p_hi: int = 999_999_937
+) -> dict:
+    """At ~9-digit primes: the doubling path agrees with the sliding window at
+    every index n <= n_max, and both agree with the x-only recurrence (an
+    independent pointwise recursion) on a seeded index sample."""
+    primes = primes_in(p_hi - 60_000, p_hi)
+    rng = SplitMix64(seed)
+    stats = {"curves": 0, "values": 0, "failures": []}
+    while stats["curves"] < n_curves:
+        p = primes[rng.randrange(0, len(primes))]
+        view = random_view(random_curve(field(p), rng), rng)
+        if view is None:
+            continue
+        stats["curves"] += 1
+        curve, pt = view.curve, view.point
+        w = psi_window(view, n_max)
+        bad = next((n for n in range(1, n_max + 1) if view.psi(n) != w[n]), None)
+        stats["values"] += n_max
+        if bad is not None:
+            stats["failures"].append(
+                {"p": p, "a": curve.a, "b": curve.b, "n": bad, "check": "window"}
+            )
+        for _ in range(16):
+            n = rng.randrange(1, n_max + 1)
+            f = x_only_psi(curve, pt.x, n)
+            expected = f if n % 2 else f * pt.y % p
+            if w[n] != expected:
+                stats["failures"].append(
+                    {"p": p, "a": curve.a, "b": curve.b, "n": n, "check": "x-only"}
+                )
+            stats["values"] += 1
+    return stats
+
+
+# -- sweep: point-sum bounds over the group -------------------------------------
+
+
+def sweep_weil(
+    p_min: int = 5,
+    p_max: int = 100,
+    index_max: int = 4,
+    avg_tol: float = 1e-8,
+) -> dict:
+    """Brute-force |sum_P omega(P) chi(f(P))| <= 2 d sqrt(p) for
+    f in {psi_3, psi_5, psi_3 psi_5}, every group character omega, every curve
+    with p in [p_min, p_max]; plus every subgroup of index <= index_max via
+    masked sums, checked against the same bound and against the
+    annihilator-averaging identity to avg_tol relative tolerance.
+
+    The bound comparison allows only the FFT rounding envelope; bare_exceed
+    counts sums whose modulus tops the bound even before that allowance.
+    max_ratio records the worst modulus/bound ratio seen.
+    """
+    ell_sets = ((3,), (5,), (3, 5))
+    stats = {
+        "curves": 0,
+        "spectra": 0,
+        "subgroup_checks": 0,
+        "bare_exceed": 0,
+        "max_bare_excess": 0.0,
+        "max_ratio": 0.0,
+        "max_avg_gap": 0.0,
+        "failures": [],
+    }
+    for p in primes_in(p_min, p_max):
+        fld = field(p)
+        sqrt_p = math.sqrt(p)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a * a * a + 27 * b * b) % p == 0:
+                    continue
+                curve = EllipticCurve(fld, a, b)
+                stats["curves"] += 1
+                s = group_structure(curve)
+                size = s.size
+                fft_err = charsum.spectrum_err_bound(size)
+                omega_groups = [
+                    g
+                    for g in charsum.small_character_subgroups(s.m, s.l, index_max)
+                    if len(g) > 1
+                ]
+                masks = [
+                    charsum.subgroup_mask(s.m, s.l, g) for g in omega_groups
+                ]
+                for ells in ell_sets:
+                    grid = charsum._chi_grid(curve, ells)
+                    d = charsum.weil_degree(ells)
+                    bound = 2 * d * sqrt_p
+                    spec = np.fft.ifft2(grid.astype(np.float64)) * size
+                    mods = np.abs(spec)
+                    stats["spectra"] += 1
+                    top = float(mods.max())
+                    stats["max_ratio"] = max(stats["max_ratio"], top / bound)
+                    if top > bound:
+                        stats["bare_exceed"] += 1
+                        stats["max_bare_excess"] = max(
+                            stats["max_bare_excess"], top - bound
+                        )
+                    if top > bound + fft_err:
+                        stats["failures"].append(
+                            {"p": p, "a": a, "b": b, "ells": list(ells), "max": top}
+                        )
+                    for omega_h, mask in zip(omega_groups, masks):
+                        sub = np.fft.ifft2(grid * mask) * size
+                        avg = charsum.averaged_spectrum(spec, omega_h)
+                        gap = float(np.abs(sub - avg).max())
+                        scale = max(1.0, float(np.abs(sub).max()))
+                        stats["max_avg_gap"] = max(stats["max_avg_gap"], gap / scale)
+                        stats["subgroup_checks"] += 1
+                        if gap > avg_tol * scale:
+                            stats["failures"].append(
+                                {
+                                    "p": p,
+                                    "a": a,
+                                    "b": b,
+                                    "ells": list(ells),
+                                    "check": "averaging",
+                                    "gap": gap,
+                                }
+                            )
+                        if float(np.abs(sub).max()) > bound + fft_err:
+                            stats["failures"].append(
+                                {
+                                    "p": p,
+                                    "a": a,
+                                    "b": b,
+                                    "ells": list(ells),
+                                    "check": "subgroup-bound",
+                                }
+                            )
+    return stats
+
+
+# -- scans -----------------------------------------------------------------------
+
+
+def scan_prime(p: int, seed: int = 0) -> dict:
+    """One seeded record at a prime: a random curve, its first maximal-order
+    point in (x, y)-lex order, character stats, and the twisted spectrum."""
+    fld = field(p)
+    rng = stream(seed, p)
+    while True:
+        curve = random_curve(fld, rng)
+        pt, exponent = max_order_point(curve)
+        if exponent >= 3:
+            break
+    view = EdsView(curve, pt, r=exponent)
+    r = view.r
+    length = view.window_length
+    bias = charsum.bias_report(view, length)
+    spec = charsum.complete_spectrum(view)
+    mods = np.abs(spec)
+    argmax = int(mods.argmax())
+    max_mod = float(mods[argmax])
+    err = charsum.spectrum_err_bound(length)
+    period = charsum.chi_period(view)
+    sp = sequence_period(view, spot_checks=8, seed=seed)
+    envelope = charsum.complete_envelope(length, p)
+    payload = {
+        "s0": sp.shift_steps,
+        "period": sp.total,
+        "chi_period": period,
+        "chi_period_divides": (2 * r) % period == 0,
+        "bias": {
+            "plus": bias.plus,
+            "minus": bias.minus,
+            "zero": bias.zero,
+            "total": bias.total,
+        },
+        "spectrum": {
+            "max_modulus": max_mod,
+            "argmax": argmax,
+            "err_bound": err,
+            "trivial_gap": (length - 2) + err - max_mod,
+            "envelope": envelope,
+            "envelope_ratio": max_mod / envelope,
+        },
+        "trivial_regime": r * r < p,
+    }
+    return make_record("scan", view, payload, seed)
+
+
+def _scan_worker(args: tuple[int, int]) -> dict:
+    return scan_prime(args[0], args[1])
+
+
+def sweep_scan(p_min: int, p_max: int, seed: int = 0, threads: int = 1) -> list[dict]:
+    primes = primes_in(p_min, p_max)
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            records = list(pool.map(_scan_worker, [(p, seed) for p in primes], chunksize=8))
+    else:
+        records = [scan_prime(p, seed) for p in primes]
+    records.sort(
+        key=lambda rec: (
+            rec["curve"]["p"],
+            rec["curve"]["a"],
+            rec["curve"]["b"],
+            rec["point"]["x"],
+            rec["point"]["y"],
+        )
+    )
+    return records
+
+
+# -- command implementations ------------------------------------------------------
+
+
+def _build_curve(p: int, a: int, b: int) -> EllipticCurve:
+    return EllipticCurve(field(p), a, b)
+
+
+def _build_view(p: int, a: int, b: int, px: int, py: int) -> EdsView:
+    curve = _build_curve(p, a, b)
+    return EdsView(curve, Point(px % p, py % p))
+
+
+def cmd_eval(p: int, a: int, b: int, px: int, py: int, n: int) -> dict:
+    curve = _build_curve(p, a, b)
+    pt = Point(px % p, py % p)
+    ev = PsiEvaluator(curve, pt)
+    value = ev.psi(n)
+    return {
+        "p": p,
+        "a": a,
+        "b": b,
+        "point": {"x": pt.x, "y": pt.y},
+        "n": n,
+        "psi": value,
+        "chi": curve.field.chi(value),
+    }
+
+
+def cmd_sums(
+    p: int,
+    a: int,
+    b: int,
+    px: int,
+    py: int,
+    cap_n: int | None = None,
+    twist_a: int | str | None = None,
+    char_order: int = 2,
+) -> dict:
+    view = _build_view(p, a, b, px, py)
+    length = view.window_length
+    n_terms = cap_n if cap_n is not None else length
+    out: dict = {
+        "p": p,
+        "a": a,
+        "b": b,
+        "point": {"x": view.point.x, "y": view.point.y},
+        "r": view.r,
+        "R": length,
+        "chi_period": charsum.chi_period(view),
+    }
+    if char_order == 2:
+        if n_terms:
+            bias = charsum.bias_report(view, n_terms)
+            counts = {"plus": bias.plus, "minus": bias.minus, "zero": bias.zero}
+            ratio = charsum.bound_ratio(view, "incomplete", n_terms)
+        else:
+            counts = {"plus": 0, "minus": 0, "zero": 0}
+            ratio = 0.0
+        out["incomplete"] = {
+            "n_terms": n_terms,
+            "sum": charsum.incomplete_sum(view, n_terms),
+            "envelope_ratio": ratio,
+            **counts,
+        }
+        if twist_a == "all":
+            if length > 65536:
+                raise ValueError(
+                    "R too large to emit the full spectrum; pass a single twist index"
+                )
+            spec = charsum.complete_spectrum(view)
+            mods = np.abs(spec)
+            out["complete"] = {
+                "err_bound": charsum.spectrum_err_bound(length),
+                "max_modulus": float(mods.max()),
+                "argmax": int(mods.argmax()),
+                "sums": [[float(z.real), float(z.imag)] for z in spec],
+            }
+        elif twist_a is not None:
+            cs = charsum.complete_sum(view, int(twist_a))
+            out["complete"] = {
+                "twist": int(twist_a) % length,
+                "re": cs.re,
+                "im": cs.im,
+                "modulus": cs.modulus,
+                "err_bound": cs.err_bound,
+                "envelope_ratio": charsum.bound_ratio(view, "complete", int(twist_a)),
+            }
+    else:
+        d = char_order
+        window = d * view.r
+        out["order"] = d
+        out["order_d_period"] = charsum.order_d_period(view, d)
+        if n_terms:
+            inc = charsum.order_d_sums(view, d, "incomplete", n_terms)
+        else:
+            inc = charsum.ComplexSum(0.0, 0.0, 0.0)
+        out["incomplete"] = {
+            "n_terms": n_terms,
+            "re": inc.re,
+            "im": inc.im,
+            "err_bound": inc.err_bound,
+        }
+        if twist_a is not None and twist_a != "all":
+            cs = charsum.order_d_sums(view, d, "complete", int(twist_a))
+            out["complete"] = {
+                "twist": int(twist_a) % window,
+                "window": window,
+                "re": cs.re,
+                "im": cs.im,
+                "modulus": cs.modulus,
+                "err_bound": cs.err_bound,
+            }
+    return out
+
+
+def cmd_verify(
+    p: int,
+    a: int,
+    b: int,
+    px: int,
+    py: int,
+    identity: str = "all",
+    seed: int = 0,
+    trials: int = 200,
+    ells: tuple[int, ...] = (3,),
+) -> dict:
+    view = _build_view(p, a, b, px, py)
+    rng = SplitMix64(seed ^ (p * STREAM_MULT & _MASK64))
+    checks: list[dict] = []
+
+    def run(name: str, fn) -> None:
+        if identity not in ("all", name):
+            return
+        failed = fn()
+        checks.append({"identity": name, "trials": trials, "failures": failed})
+
+    def chk_recurrence() -> int:
+        span = 3 * view.r
+        return sum(
+            recurrence_residual(
+                view,
+                rng.randrange(-span, span + 1),
+                rng.randrange(-span, span + 1),
+                rng.randrange(-span, span + 1),
+            )
+            != 0
+            for _ in range(trials)
+        )
+
+    def chk_shift() -> int:
+        failed = 0
+        for _ in range(trials):
+            s = rng.randrange(0, 6)
+            k = rng.randrange(1, 2 * view.r + 1)
+            failed += not verify_shift_identity(view, s, k)
+        return failed
+
+    def chk_index_product() -> int:
+        failed = 0
+        for i in range(trials):
+            n = rng.randrange(1, 31)
+            m = view.r * rng.randrange(1, 4) if i % 8 == 7 else rng.randrange(1, 31)
+            failed += not verify_index_product(view, n, m)
+        return failed
+
+    def chk_period() -> int:
+        sp = sequence_period(view, spot_checks=min(trials, 100), seed=seed)
+        period = charsum.chi_period(view)
+        ok = (
+            (2 * view.r) % period == 0
+            and period == charsum.order_d_period(view, 2)
+            and sp.total % view.r == 0
+        )
+        return 0 if ok else 1
+
+    def chk_weil() -> int:
+        failed = 0
+        rep = charsum.weil_sum_check(view.curve, ells)
+        failed += rep.sum_modulus > rep.bound + rep.err_bound
+        rep_sub = charsum.weil_sum_check(
+            view.curve, ells, omega=(1, 0), subgroup=view.point
+        )
+        failed += rep_sub.sum_modulus > rep_sub.bound + rep_sub.err_bound
+        if rep_sub.averaging_gap is not None:
+            failed += rep_sub.averaging_gap > 1e-8 * max(1.0, rep_sub.sum_modulus)
+        return int(failed)
+
+    run("recurrence", chk_recurrence)
+    run("shift", chk_shift)
+    run("index-product", chk_index_product)
+    run("period", chk_period)
+    run("weil", chk_weil)
+    if not checks:
+        raise ValueError(
+            f"unknown identity {identity!r}; pick from recurrence, shift, "
+            "index-product, period, weil, all"
+        )
+    ok = all(c["failures"] == 0 for c in checks)
+    return {
+        "p": p,
+        "a": a,
+        "b": b,
+        "point": {"x": view.point.x, "y": view.point.y},
+        "r": view.r,
+        "identity": identity,
+        "ok": ok,
+        "checks": checks,
+    }
+
+
+def cmd_scan(
+    p_min: int,
+    p_max: int,
+    seed: int = 0,
+    threads: int = 1,
+    out: str | None = None,
+) -> list[dict]:
+    if p_min < 5 or p_max < p_min:
+        raise ValueError("need 5 <= p_min <= p_max")
+    records = sweep_scan(p_min, p_max, seed=seed, threads=threads)
+    if out is not None:
+        with open(out, "w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    return records
+
+
+def cmd_bench(seed: int = 0) -> dict:
+    """Desk-scale timing and large-input correctness checks."""
+    out: dict = {"seed": seed}
+
+    # single-value evaluation at n = 2^62 near the modulus cap; a fresh
+    # evaluator per repetition so the memo never amortizes the cost away
+    p62 = largest_prime_below(1 << 62)
+    fld = field(p62)
+    rng = stream(seed, p62)
+    curve = random_curve(fld, rng)
+    pt = curve.random_point(rng, nonzero_y=True)
+    n62 = 1 << 62
+    times = []
+    value62 = None
+    for _ in range(5):
+        ev = PsiEvaluator(curve, pt)
+        t0 = time.perf_counter()
+        got = ev.psi(n62)
+        times.append(time.perf_counter() - t0)
+        if value62 is None:
+            value62 = got
+        elif got != value62:
+            raise AssertionError("non-deterministic evaluation at n = 2^62")
+    ev = PsiEvaluator(curve, pt)
+    res = recurrence_residual(
+        ev,
+        rng.randrange(1, 1 << 40),
+        rng.randrange(1, 1 << 40),
+        rng.randrange(1, 1 << 40),
+    )
+    out["eval_62bit"] = {
+        "p": p62,
+        "n": n62,
+        "max_ms": max(times) * 1e3,
+        "median_ms": sorted(times)[len(times) // 2] * 1e3,
+        "recurrence_residual": res,
+    }
+
+    # character window throughput at a tabulated prime, spot-checked against
+    # the random-access path
+    p_chi = 1_000_003
+    view = seeded_view(p_chi, seed)
+    n_terms = 1_000_000
+    t0 = time.perf_counter()
+    window = charsum.chi_window(view, n_terms)
+    chi_s = time.perf_counter() - t0
+    spot_ok = all(
+        int(window[n - 1]) == view.curve.field.chi(view.psi(n))
+        for n in (rng.randrange(1, n_terms + 1) for _ in range(64))
+    )
+    out["chi_window"] = {
+        "p": p_chi,
+        "terms": n_terms,
+        "seconds": chi_s,
+        "sum": int(window.sum(dtype=np.int64)),
+        "spot_ok": spot_ok,
+    }
+
+    # shift-identity reconstruction of the same huge index at a 9-digit prime
+    p9 = largest_prime_below(1_000_000_000)
+    view9 = seeded_view(p9, seed)
+    r = view9.r
+    s, k = divmod(n62, r)
+    expected = (
+        pow(view9.mult_a, (k * s) % (p9 - 1), p9)
+        * pow(view9.mult_b, (s * s) % (p9 - 1), p9)
+        * view9.psi(k)
+        % p9
+    )
+    out["reconstruction"] = {
+        "p": p9,
+        "r": r,
+        "n": n62,
+        "ok": view9.psi(n62) == expected,
+    }
+    return out

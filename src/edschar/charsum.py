@@ -61,7 +61,7 @@ class ComplexSum:
 
 
 def chi_window(view: EdsView, n_terms: int) -> np.ndarray:
-    """chi(psi_n) for n = 1..n_terms as an int8 array (index n-1)."""
+    """chi(psi_n) for n = 1..n_terms as a read-only int8 array (index n-1)."""
     cached = _window_cache.get(view)
     if cached is not None and len(cached) >= n_terms:
         return cached[:n_terms]
@@ -74,6 +74,9 @@ def chi_window(view: EdsView, n_terms: int) -> np.ndarray:
     else:
         chi = fld.chi
         out = np.fromiter((chi(v) for v in w[1:]), dtype=np.int8, count=n_terms)
+    # read-only, so that a caller writing into a returned slice raises
+    # instead of corrupting the cached window
+    out.flags.writeable = False
     _window_cache[view] = out
     return out
 

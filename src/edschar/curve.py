@@ -8,10 +8,18 @@ Curve order is computed by direct point counting for p <= 10**4 and by
 baby-step giant-step annihilator search in the Hasse interval for larger p
 (guarded at p <= 10**9).  Point orders are derived from the group order by
 stripping prime factors.
+
+The group structure E ~ Z/M x Z/L (guarded at p <= 10**6) comes from one
+pass over the affine points in (x, y)-lex order that stops as soon as the
+running maximum order M is certified as the exponent: at once when M = N,
+otherwise at the first point that yields an order-L element independent of
+the order-M generator, since the two then generate all N = M*L points.
+Groups with N <= 20 000 are also checked exhaustively.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -245,7 +253,10 @@ def curve_order(curve: EllipticCurve) -> int:
     else:
         n = _bsgs_group_order(curve)
     lo, hi = _hasse_interval(p)
-    assert lo <= n <= hi
+    if not lo <= n <= hi:
+        raise RuntimeError(
+            f"point count {n} of {curve!r} lies outside the Hasse interval [{lo}, {hi}]"
+        )
     curve._order = n
     return n
 
@@ -329,62 +340,72 @@ def _independent_order_l(
     return True
 
 
+def _points_with_orders(curve: EllipticCurve, n: int):
+    """Affine points in (x, y)-lex order, each paired with its order (n = #E)."""
+    for point in _iter_candidate_points(curve):
+        yield point, _order_from_multiple(curve, point, n)
+
+
+def _first_independent(
+    curve: EllipticCurve, gen_m: Point, m: int, l: int, points
+) -> Point | None:
+    """(order // l)*Q for the first (Q, order) in points with l | order whose
+    multiple meets <gen_m> trivially; None if there is none."""
+    for point, order in points:
+        if order % l == 0:
+            cand = curve.mul(order // l, point)
+            if _independent_order_l(curve, gen_m, m, cand, l):
+                return cand
+    return None
+
+
 def group_structure(curve: EllipticCurve) -> GroupStructure:
-    """Echelonized generators of E(F_p), deterministic, guarded at p <= 10**6."""
+    """Echelonized generators of E(F_p), deterministic, guarded at p <= 10**6.
+
+    gen_m is the first point in (x, y)-lex order whose order is the group
+    exponent M, and gen_l = (ord(Q) // L)*Q for the first lex point Q whose
+    multiple has order L = N/M and meets <gen_m> trivially.  The scan stops as
+    soon as both are certified: once the running maximum order M' is a
+    feasible exponent (L' = N/M' divides both M' and p - 1), an order-L'
+    point independent of gen_m generates with it a subgroup of size M'*L' = N,
+    so E = Z/M' x Z/L' and M' is the exponent.  With L' = 1 that happens at
+    once.  Most curves are certified after a few points instead of all N.
+    """
     if curve._structure is not None:
         return curve._structure
     p = curve.p
     if p > STRUCTURE_MAX:
         raise ValueError(f"group structure guarded at p <= {STRUCTURE_MAX}")
     n = curve_order(curve)
-    n_fac = factorize(n)
     # exponents M compatible with N = M*L, L | M, L | p - 1
     divs = [1]
-    for q, e in n_fac.items():
+    for q, e in factorize(n).items():
         divs = [d * q**k for d in divs for k in range(e + 1)]
-    feasible = sorted(
-        (
-            m
-            for m in divs
-            if n % m == 0 and m % (n // m) == 0 and (p - 1) % (n // m) == 0
-        ),
-        reverse=True,
-    )
-    max_feasible = feasible[0]
+    feasible = {m for m in divs if m % (n // m) == 0 and (p - 1) % (n // m) == 0}
 
-    best_order = 0
+    m = 0
     gen_m: Point | None = None
-    scanned: list[tuple[Point, int]] = []
-    for point in _iter_candidate_points(curve):
-        order = _order_from_multiple(curve, point, n)
-        if len(scanned) < 100_000:
-            scanned.append((point, order))
-        if order > best_order:
-            best_order, gen_m = order, point
-        if best_order == max_feasible:
-            break
-    m = best_order
+    gen_l: Point | None = None
+    for index, (point, order) in enumerate(_points_with_orders(curve, n)):
+        if order > m:
+            m, gen_m = order, point
+            if m == n:
+                break
+            # a new gen_m: the points before it are tested again against it,
+            # so that gen_l is the first candidate over the whole group; they
+            # are walked again rather than stored, so memory stays flat
+            candidates = itertools.islice(_points_with_orders(curve, n), index)
+        else:
+            candidates = [(point, order)]
+        if m in feasible:
+            gen_l = _first_independent(curve, gen_m, m, n // m, candidates)
+            if gen_l is not None:
+                break
     if m not in feasible:
         raise AssertionError("observed exponent incompatible with group order")
     l = n // m
-    gen_l: Point | None = None
-    if l > 1:
-        for point, order in scanned:
-            if order % l == 0:
-                cand = curve.mul(order // l, point)
-                if _independent_order_l(curve, gen_m, m, cand, l):
-                    gen_l = cand
-                    break
-        if gen_l is None:
-            for point in _iter_candidate_points(curve):
-                order = _order_from_multiple(curve, point, n)
-                if order % l == 0:
-                    cand = curve.mul(order // l, point)
-                    if _independent_order_l(curve, gen_m, m, cand, l):
-                        gen_l = cand
-                        break
-        if gen_l is None:
-            raise RuntimeError(f"no independent order-{l} generator found on {curve!r}")
+    if l > 1 and gen_l is None:
+        raise RuntimeError(f"no independent order-{l} generator found on {curve!r}")
     structure = GroupStructure(m=m, l=l, gen_m=gen_m, gen_l=gen_l, size=n)
     if n <= 20_000:
         _verify_structure_exhaustively(curve, structure)

@@ -76,6 +76,18 @@ def test_chi_window_cache_prefix(f5_view):
     assert np.array_equal(short, long[:7])
 
 
+def test_chi_window_read_only():
+    # a fresh view, so that a failed write cannot leak into the shared fixtures
+    view = EdsView(EllipticCurve(field(5), 1, 1), Point(0, 1))
+    before = incomplete_sum(view, 4)
+    w = chi_window(view, view.window_length)
+    with pytest.raises(ValueError):
+        w[:4] = 1
+    with pytest.raises(ValueError):
+        chi_window(view, 4)[0] = 1
+    assert incomplete_sum(view, 4) == before
+
+
 def test_chi_window_guard(f5_view):
     with pytest.raises(ValueError):
         chi_window(f5_view, WINDOW_MAX + 1)

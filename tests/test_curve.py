@@ -15,8 +15,9 @@ from edschar.curve import (
     max_order_point,
     point_order,
 )
+from edschar import curve as curve_module
 from edschar.curve import _count_points  # independent slow counter
-from edschar.field import field
+from edschar.field import field, primes_in
 
 E5 = EllipticCurve(field(5), 1, 1)  # y^2 = x^3 + x + 1
 E5_B = EllipticCurve(field(5), 0, 1)  # y^2 = x^3 + 1
@@ -194,6 +195,13 @@ def test_curve_order_cached():
     assert curve_order(e) == curve_order(e)
 
 
+def test_curve_order_outside_hasse_interval_raises(monkeypatch):
+    # one point above the Hasse bound p + 1 + isqrt(4p) = 1073
+    monkeypatch.setattr(curve_module, "_count_points", lambda curve: 1009 + 1 + 64)
+    with pytest.raises(RuntimeError, match="Hasse interval"):
+        curve_order(EllipticCurve(field(1009), 1, 2))
+
+
 # -- group structure ----------------------------------------------------------------
 
 
@@ -240,6 +248,51 @@ def test_full_two_torsion_curve_has_even_l():
     s = group_structure(curve)
     assert s.l % 2 == 0
     assert (s.m, s.l) == (4, 2)
+
+
+def test_group_structure_matches_brute_force_small_primes():
+    # every curve at p <= 23 against the orders of all its points: gen_m is
+    # the lex-first point of maximal order and gen_l the multiple
+    # (ord(Q) // l) Q of the lex-first Q that is independent of gen_m
+    for p in primes_in(5, 23):
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b**2) % p == 0:
+                    continue
+                curve = EllipticCurve(field(p), a, b)
+                points = [q for q in enumerate_points(curve) if q is not None]
+                orders = [point_order(curve, q) for q in points]
+                m = max(orders)
+                l = (len(points) + 1) // m
+                s = group_structure(curve)
+                assert (s.m, s.l) == (m, l)
+                assert s.gen_m == points[orders.index(m)]
+                span_m = {curve.mul(j, s.gen_m) for j in range(m)}
+                cofactors = (
+                    curve.mul(o // l, q) for q, o in zip(points, orders) if o % l == 0
+                )
+                independent = (
+                    c
+                    for c in cofactors
+                    if all(curve.mul(i, c) not in span_m for i in range(1, l))
+                )
+                assert s.gen_l == (next(independent) if l > 1 else None)
+
+
+def test_group_structure_stops_early_on_noncyclic_curve(monkeypatch):
+    # y^2 = x^3 + x + 2 over F_1009 is Z/252 x Z/4: the exponent and an
+    # independent order-4 point are certified after a few points, not 1007
+    calls = []
+    order_from_multiple = curve_module._order_from_multiple
+
+    def counted(curve, point, k):
+        calls.append(point)
+        return order_from_multiple(curve, point, k)
+
+    monkeypatch.setattr(curve_module, "_order_from_multiple", counted)
+    s = group_structure(EllipticCurve(field(1009), 1, 2))
+    assert (s.m, s.l, s.size) == (252, 4, 1008)
+    assert len(calls) <= 50
 
 
 def test_max_order_point_is_lex_first():

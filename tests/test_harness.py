@@ -1,5 +1,6 @@
 """Seeded drivers, record schema, scans, and the CLI contract."""
 
+import hashlib
 import json
 
 import pytest
@@ -169,6 +170,18 @@ def test_sweep_scan_sorted_and_thread_invariant():
     assert [strip_ts(r) for r in solo] == [strip_ts(r) for r in multi]
     ps = [r["curve"]["p"] for r in solo]
     assert ps == sorted(ps) and len(set(ps)) == len(ps)
+
+
+def test_sweep_scan_records_golden():
+    # pins every scan record to 5 <= p <= 1000, so that a speed-up which
+    # alters any of them (a different max-order point, say) fails here
+    records = sweep_scan(5, 1000, seed=2024)
+    text = "\n".join(json.dumps(strip_ts(r), sort_keys=True) for r in records)
+    assert len(records) == 166
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "6d81cf8132ef1a6768d0bda091e6c48491aa420b01e24c55680bccf54c208b55"
+    )
 
 
 # -- command payloads ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ full-group sums.
 
 from __future__ import annotations
 
-import cmath
 import math
 import weakref
 from dataclasses import dataclass
@@ -27,18 +26,15 @@ from .symbolic import XPoly, division_poly_tower
 
 TWO_PI = 2.0 * math.pi
 
-# Rounding envelope per accumulated term.  Kahan-compensated accumulation
-# keeps the true error orders of magnitude below this at desk scale.
+# Rounding envelope per accumulated term.  Sums of phase terms are rounded
+# once by math.fsum, which keeps the true error orders of magnitude below
+# this at desk scale.
 TERM_ERR = 2.0**-40
 
 WINDOW_MAX = 20_000_000  # longest character window we will materialize
 COMPLETE_MAX = 10_000_000  # largest R for complete-sum evaluation
-PHASE_TABLE_MAX = 1 << 20  # cache cos/sin tables up to this window length
 
 _window_cache: "weakref.WeakKeyDictionary[EdsView, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
-_phase_cache: "weakref.WeakKeyDictionary[EdsView, tuple[list, list]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -170,44 +166,15 @@ def bias_report(view: EdsView, n_terms: int) -> BiasReport:
     )
 
 
-def _phase_tables(length: int, view: EdsView | None = None):
-    """cos/sin lookup lists for e(k/length); cached per view when small."""
-    if view is not None:
-        cached = _phase_cache.get(view)
-        if cached is not None and len(cached[0]) == length:
-            return cached
-    ks = np.arange(length) * (TWO_PI / length)
-    tables = (np.cos(ks).tolist(), np.sin(ks).tolist())
-    if view is not None and length <= PHASE_TABLE_MAX:
-        _phase_cache[view] = tables
-    return tables
-
-
-def _kahan_phase_sum(signs, steps: int, stride: int, length: int, cos_t, sin_t) -> ComplexSum:
-    """Kahan-compensated sum of signs[n-1] * e(stride*n / length) for n = 1..steps."""
-    sr = cr = si = ci = 0.0
-    k = 0
-    nonzero = 0
-    for idx in range(steps):
-        k += stride
-        if k >= length:
-            k -= length
-        s = signs[idx]
-        if not s:
-            continue
-        nonzero += 1
-        c, sn = cos_t[k], sin_t[k]
-        if s < 0:
-            c, sn = -c, -sn
-        y = c - cr
-        t = sr + y
-        cr = (t - sr) - y
-        sr = t
-        y = sn - ci
-        t = si + y
-        ci = (t - si) - y
-        si = t
-    return ComplexSum(re=sr, im=si, err_bound=max(nonzero, 1) * TERM_ERR)
+def _phase_sum(ks: np.ndarray, weights: np.ndarray, length: int) -> ComplexSum:
+    """sum_i weights[i] * e(ks[i] / length) for integer weights, each part
+    rounded once by math.fsum; the bound charges TERM_ERR per unit term."""
+    angles = ks * (TWO_PI / length)
+    return ComplexSum(
+        re=math.fsum(weights * np.cos(angles)),
+        im=math.fsum(weights * np.sin(angles)),
+        err_bound=max(int(np.abs(weights).sum()), 1) * TERM_ERR,
+    )
 
 
 def complete_sum(view: EdsView, a: int) -> ComplexSum:
@@ -216,8 +183,8 @@ def complete_sum(view: EdsView, a: int) -> ComplexSum:
     if length > COMPLETE_MAX:
         raise ValueError(f"complete sums guarded at R <= {COMPLETE_MAX}")
     window = chi_window(view, length)
-    cos_t, sin_t = _phase_tables(length, view if length <= PHASE_TABLE_MAX else None)
-    return _kahan_phase_sum(window.tolist(), length, a % length, length, cos_t, sin_t)
+    idx = np.flatnonzero(window)
+    return _phase_sum((a % length) * (idx + 1) % length, window[idx], length)
 
 
 def complete_spectrum(view: EdsView) -> np.ndarray:
@@ -320,63 +287,18 @@ def order_d_sums(view: EdsView, d: int, mode: str, x: int) -> ComplexSum:
     exps = order_d_exponents(view, d, window_len)
 
     if mode == "incomplete":
-        # pure root-of-unity sum; exponent table of size d
-        roots = [cmath.exp(2j * math.pi * j / d) for j in range(d)]
-        sr = cr = si = ci = 0.0
-        nonzero = 0
+        # pure root-of-unity sum: how often each exponent j occurs in x terms
         reps, rest = divmod(steps, window_len)
-        counts = np.zeros(d, dtype=np.int64)
-        for j in range(d):
-            full = int((exps == j).sum())
-            part = int((exps[:rest] == j).sum()) if rest else 0
-            counts[j] = reps * full + part if steps > window_len else int(
-                (exps[:steps] == j).sum()
-            )
-        for j in range(d):
-            c = int(counts[j])
-            if not c:
-                continue
-            nonzero += c
-            z = roots[j]
-            y = z.real * c - cr
-            t = sr + y
-            cr = (t - sr) - y
-            sr = t
-            y = z.imag * c - ci
-            t = si + y
-            ci = (t - si) - y
-            si = t
-        return ComplexSum(re=sr, im=si, err_bound=max(nonzero, 1) * TERM_ERR)
+        head = exps[:rest]
+        full = np.bincount(exps[exps >= 0], minlength=d)
+        part = np.bincount(head[head >= 0], minlength=d)
+        counts = [reps * int(f) + int(q) for f, q in zip(full, part)]
+        return _phase_sum(np.arange(d), np.array(counts, dtype=np.float64), d)
 
     # complete: phase index k_n = (a*n + exps_n * (steps // d)) mod steps
-    cos_t, sin_t = _phase_tables(steps)
-    a = x % steps
-    scale = steps // d
-    sr = cr = si = ci = 0.0
-    nonzero = 0
-    k = 0
-    el = exps.tolist()
-    for idx in range(steps):
-        k += a
-        if k >= steps:
-            k -= steps
-        e = el[idx]
-        if e < 0:
-            continue
-        nonzero += 1
-        kk = k + e * scale
-        if kk >= steps:
-            kk %= steps
-        c, sn = cos_t[kk], sin_t[kk]
-        y = c - cr
-        t = sr + y
-        cr = (t - sr) - y
-        sr = t
-        y = sn - ci
-        t = si + y
-        ci = (t - si) - y
-        si = t
-    return ComplexSum(re=sr, im=si, err_bound=max(nonzero, 1) * TERM_ERR)
+    idx = np.flatnonzero(exps >= 0)
+    ks = ((x % steps) * (idx + 1) + exps[idx] * (steps // d)) % steps
+    return _phase_sum(ks, np.ones(len(idx)), steps)
 
 
 # -- Weil-bound brute force ----------------------------------------------------

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import PrimeField, factorize, field
+from .field import PrimeField, divisors, factorize, field
+from .rng import SplitMix64
 
 ENUM_ORDER_MAX = 10_000  # counting strategy switchover
 ENUMERATION_MAX = 1_000_000  # hard guard for materializing all points
@@ -152,6 +153,15 @@ class EllipticCurve:
         return None
 
 
+def all_curves(fld: PrimeField):
+    """Every nonsingular curve y^2 = x^3 + Ax + B over fld, in (A, B)-lex order."""
+    p = fld.p
+    for a in range(p):
+        for b in range(p):
+            if (4 * a * a * a + 27 * b * b) % p:
+                yield EllipticCurve(fld, a, b)
+
+
 def enumerate_points(curve: EllipticCurve) -> list[Point | None]:
     """All points, infinity first, affine points in (x, y) lexicographic order."""
     p = curve.p
@@ -221,26 +231,6 @@ def _order_from_multiple(curve: EllipticCurve, point: Point | None, k: int) -> i
     return d
 
 
-class _DetRng:
-    """Tiny deterministic generator (splitmix64 core) for internal sampling."""
-
-    __slots__ = ("state",)
-    _MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self.state = seed & self._MASK
-
-    def next64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
-
-    def randrange(self, n: int) -> int:
-        return self.next64() % n
-
-
 def curve_order(curve: EllipticCurve) -> int:
     """#E(F_p).  Enumeration for p <= 10**4, BSGS + lcm of point orders above."""
     if curve._order is not None:
@@ -264,7 +254,7 @@ def curve_order(curve: EllipticCurve) -> int:
 def _bsgs_group_order(curve: EllipticCurve) -> int:
     p = curve.p
     lo, hi = _hasse_interval(p)
-    rng = _DetRng((p * 0x9E3779B97F4A7C15) ^ (curve.a << 1) ^ curve.b)
+    rng = SplitMix64((p * 0x9E3779B97F4A7C15) ^ (curve.a << 1) ^ curve.b)
     exponent = 1
     candidates: list[int] = []
     for attempt in range(48):
@@ -378,10 +368,9 @@ def group_structure(curve: EllipticCurve) -> GroupStructure:
         raise ValueError(f"group structure guarded at p <= {STRUCTURE_MAX}")
     n = curve_order(curve)
     # exponents M compatible with N = M*L, L | M, L | p - 1
-    divs = [1]
-    for q, e in factorize(n).items():
-        divs = [d * q**k for d in divs for k in range(e + 1)]
-    feasible = {m for m in divs if m % (n // m) == 0 and (p - 1) % (n // m) == 0}
+    feasible = {
+        m for m in divisors(n) if m % (n // m) == 0 and (p - 1) % (n // m) == 0
+    }
 
     m = 0
     gen_m: Point | None = None

@@ -30,12 +30,12 @@ division-polynomial evaluation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterator
 
 from .curve import EllipticCurve, Point, point_order
 from .field import factorize
+from .rng import SplitMix64
 
 
 class PsiEvaluator:
@@ -356,7 +356,8 @@ def sequence_period(view: EdsView, spot_checks: int = 100, seed: int = 0) -> Seq
     s0 is the least s >= 1 with a^s = 1 and b^(s^2) = 1, computed prime by
     prime from the multiplicative orders of the shift constants; since both
     orders divide p - 1, T divides r(p - 1).  The result is spot-checked by
-    comparing psi_{n+T} with psi_n at `spot_checks` random indices.
+    comparing psi_{n+T} with psi_n at `spot_checks` indices drawn from
+    SplitMix64(seed).
     """
     fld = view.curve.field
     ord_a = fld.element_order(view.mult_a)
@@ -368,7 +369,7 @@ def sequence_period(view: EdsView, spot_checks: int = 100, seed: int = 0) -> Seq
     for q, e in need.items():
         s0 *= q**e
     total = view.r * s0
-    rng = random.Random(seed)
+    rng = SplitMix64(seed)
     for _ in range(spot_checks):
         n = rng.randrange(1, 3 * total + 1)
         if view.psi(n + total) != view.psi(n):

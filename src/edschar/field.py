@@ -22,8 +22,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
-# Quadratic-character lookup tables are built lazily for moduli up to this
-# bound; above it chi falls back to an Euler-criterion pow per call.
+# Quadratic-character and discrete-log lookup tables are built lazily for
+# moduli up to this bound; above it chi falls back to an Euler-criterion pow
+# per call.
 _CHI_TABLE_MAX = 1 << 22
 
 
@@ -133,6 +134,7 @@ class PrimeField:
         "_p1_factors",
         "_primitive_root",
         "_dchar_tables",
+        "_dlog_tables",
     )
 
     def __init__(self, p: int):
@@ -148,6 +150,7 @@ class PrimeField:
         self._p1_factors: dict[int, int] | None = None
         self._primitive_root: int | None = None
         self._dchar_tables: dict[int, dict[int, int]] = {}
+        self._dlog_tables: tuple[np.ndarray, np.ndarray] | None = None
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
@@ -273,6 +276,26 @@ class PrimeField:
                 g += 1
             self._primitive_root = g
         return self._primitive_root
+
+    def dlog_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, pow) int64 tables for the smallest primitive root g (small p only).
+
+        log[x] = ind_g(x) for x != 0 and log[0] = -1; pow[i] = g^i for i < p - 1.
+        """
+        if self._dlog_tables is None:
+            p = self.p
+            if p > _CHI_TABLE_MAX:
+                raise ValueError(f"discrete-log tables guarded at p <= {_CHI_TABLE_MAX}")
+            g = self.primitive_root()
+            pow_arr = np.empty(p - 1, dtype=np.int64)
+            log_arr = np.full(p, -1, dtype=np.int64)
+            v = 1
+            for i in range(p - 1):
+                pow_arr[i] = v
+                log_arr[v] = i
+                v = v * g % p
+            self._dlog_tables = (log_arr, pow_arr)
+        return self._dlog_tables
 
     # -- order-d characters ----------------------------------------------------
 

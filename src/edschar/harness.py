@@ -21,6 +21,7 @@ from . import charsum
 from .curve import (
     EllipticCurve,
     Point,
+    all_curves,
     enumerate_points,
     group_structure,
     max_order_point,
@@ -38,56 +39,10 @@ from .eds import (
     x_only_psi,
 )
 from .field import PrimeField, field, is_probable_prime, primes_in
+from .rng import SplitMix64, stream
 from .symbolic import division_poly_tower, psi_symbolic
 
 SCHEMA_VERSION = "1"
-
-_MASK64 = (1 << 64) - 1
-# per-prime stream decorrelation multiplier (odd 64-bit constant)
-STREAM_MULT = 0xD1B54A32D192ED03
-
-
-class SplitMix64:
-    """splitmix64: the pinned PRNG behind every seeded driver.
-
-    state <- state + 0x9E3779B97F4A7C15 (mod 2^64); output mixes the state
-    with xor-shift-multiply rounds 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB.
-    randrange uses rejection sampling, so streams are unbiased and the
-    sequence of draws for a given seed is fully determined by this file.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def randrange(self, a: int, b: int | None = None) -> int:
-        """Uniform integer in [0, a) or [a, b), rejection-sampled."""
-        lo, hi = (0, a) if b is None else (a, b)
-        width = hi - lo
-        if width <= 0:
-            raise ValueError(f"empty range [{lo}, {hi})")
-        limit = (_MASK64 + 1) - (_MASK64 + 1) % width
-        while True:
-            v = self.next64()
-            if v < limit:
-                return lo + v % width
-
-    def choice(self, seq):
-        return seq[self.randrange(0, len(seq))]
-
-
-def stream(seed: int, p: int) -> SplitMix64:
-    """The per-prime random stream used by scans and sweeps."""
-    return SplitMix64(seed ^ (p * STREAM_MULT & _MASK64))
-
 
 def random_curve(fld: PrimeField, rng: SplitMix64) -> EllipticCurve:
     p = fld.p
@@ -151,31 +106,6 @@ def strip_ts(record: dict) -> dict:
     return {k: v for k, v in record.items() if k != "ts"}
 
 
-# -- vectorized discrete-log tables for small fields ---------------------------
-
-_dlog_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _dlog_tables(fld: PrimeField) -> tuple[np.ndarray, np.ndarray]:
-    """(log, pow) tables for the smallest primitive root; log[0] = -1."""
-    got = _dlog_cache.get(fld.p)
-    if got is not None:
-        return got
-    p = fld.p
-    g = fld.primitive_root()
-    pow_arr = np.empty(p - 1, dtype=np.int64)
-    log_arr = np.full(p, -1, dtype=np.int64)
-    v = 1
-    for i in range(p - 1):
-        pow_arr[i] = v
-        log_arr[v] = i
-        v = v * g % p
-    if len(_dlog_cache) > 64:
-        _dlog_cache.clear()
-    _dlog_cache[p] = (log_arr, pow_arr)
-    return log_arr, pow_arr
-
-
 # -- sweep: three-term recurrence ----------------------------------------------
 
 
@@ -230,7 +160,7 @@ def _check_view_small(view: EdsView, s_max: int, stats: dict, deep_period: bool)
         return
 
     # shift blocks: psi_{sr+k} = a^(ks) b^(s^2) psi_k, via discrete logs
-    log_arr, pow_arr = _dlog_tables(fld)
+    log_arr, pow_arr = fld.dlog_tables()
     la, lb = int(log_arr[view.mult_a]), int(log_arr[view.mult_b])
     ks = np.arange(1, r + 1, dtype=np.int64)
     base = arr[:r]
@@ -293,22 +223,17 @@ def sweep_small_fields(
         "failures": [],
     }
     for p in primes_in(p_min, p_max):
-        fld = field(p)
-        for a in range(p):
-            for b in range(p):
-                if (4 * a * a * a + 27 * b * b) % p == 0:
+        for curve in all_curves(field(p)):
+            stats["curves"] += 1
+            for pt in enumerate_points(curve):
+                if pt is None or pt.y == 0:
+                    stats["skipped_points"] += 1
                     continue
-                curve = EllipticCurve(fld, a, b)
-                stats["curves"] += 1
-                for pt in enumerate_points(curve):
-                    if pt is None or pt.y == 0:
-                        stats["skipped_points"] += 1
-                        continue
-                    view = EdsView(curve, pt, r=point_order(curve, pt))
-                    _check_view_small(
-                        view, s_max, stats, deep_period=stats["views"] % period_sample == 0
-                    )
-                    stats["views"] += 1
+                view = EdsView(curve, pt, r=point_order(curve, pt))
+                _check_view_small(
+                    view, s_max, stats, deep_period=stats["views"] % period_sample == 0
+                )
+                stats["views"] += 1
     return stats
 
 
@@ -390,41 +315,36 @@ def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) 
     sliding window, and the streaming generator."""
     stats = {"curves": 0, "values": 0, "skipped_curves": 0, "failures": []}
     for p in primes_in(p_min, p_max):
-        fld = field(p)
-        for a in range(p):
-            for b in range(p):
-                if (4 * a * a * a + 27 * b * b) % p == 0:
-                    continue
-                curve = EllipticCurve(fld, a, b)
-                pt = next(
-                    (q for q in enumerate_points(curve) if q is not None and q.y != 0),
-                    None,
-                )
-                if pt is None:
-                    stats["skipped_curves"] += 1
-                    continue
-                stats["curves"] += 1
-                view = EdsView(curve, pt, r=point_order(curve, pt))
-                tower = division_poly_tower(curve, n_max, fold=True)
-                w = psi_window(view, n_max)
-                stream_vals = list(psi_sequence(view, n_max))
-                for n in range(1, n_max + 1):
-                    sym = psi_symbolic(curve, pt, n, tower)
-                    dbl = view.psi(n)
-                    if not (sym == dbl == w[n] == stream_vals[n - 1]):
-                        stats["failures"].append(
-                            {
-                                "p": p,
-                                "a": a,
-                                "b": b,
-                                "n": n,
-                                "symbolic": sym,
-                                "doubling": dbl,
-                                "window": w[n],
-                                "stream": stream_vals[n - 1],
-                            }
-                        )
-                    stats["values"] += 1
+        for curve in all_curves(field(p)):
+            pt = next(
+                (q for q in enumerate_points(curve) if q is not None and q.y != 0),
+                None,
+            )
+            if pt is None:
+                stats["skipped_curves"] += 1
+                continue
+            stats["curves"] += 1
+            view = EdsView(curve, pt, r=point_order(curve, pt))
+            tower = division_poly_tower(curve, n_max, fold=True)
+            w = psi_window(view, n_max)
+            stream_vals = list(psi_sequence(view, n_max))
+            for n in range(1, n_max + 1):
+                sym = psi_symbolic(curve, pt, n, tower)
+                dbl = view.psi(n)
+                if not (sym == dbl == w[n] == stream_vals[n - 1]):
+                    stats["failures"].append(
+                        {
+                            "p": p,
+                            "a": curve.a,
+                            "b": curve.b,
+                            "n": n,
+                            "symbolic": sym,
+                            "doubling": dbl,
+                            "window": w[n],
+                            "stream": stream_vals[n - 1],
+                        }
+                    )
+                stats["values"] += 1
     return stats
 
 
@@ -482,7 +402,6 @@ def sweep_weil(
     counts sums whose modulus tops the bound even before that allowance.
     max_ratio records the worst modulus/bound ratio seen.
     """
-    ell_sets = ((3,), (5,), (3, 5))
     stats = {
         "curves": 0,
         "spectra": 0,
@@ -494,71 +413,49 @@ def sweep_weil(
         "failures": [],
     }
     for p in primes_in(p_min, p_max):
-        fld = field(p)
         sqrt_p = math.sqrt(p)
-        for a in range(p):
-            for b in range(p):
-                if (4 * a * a * a + 27 * b * b) % p == 0:
-                    continue
-                curve = EllipticCurve(fld, a, b)
-                stats["curves"] += 1
-                s = group_structure(curve)
-                size = s.size
-                fft_err = charsum.spectrum_err_bound(size)
-                omega_groups = [
-                    g
-                    for g in charsum.small_character_subgroups(s.m, s.l, index_max)
-                    if len(g) > 1
-                ]
-                masks = [
-                    charsum.subgroup_mask(s.m, s.l, g) for g in omega_groups
-                ]
-                for ells in ell_sets:
-                    grid = charsum._chi_grid(curve, ells)
-                    d = charsum.weil_degree(ells)
-                    bound = 2 * d * sqrt_p
-                    spec = np.fft.ifft2(grid.astype(np.float64)) * size
-                    mods = np.abs(spec)
-                    stats["spectra"] += 1
-                    top = float(mods.max())
-                    stats["max_ratio"] = max(stats["max_ratio"], top / bound)
-                    if top > bound:
-                        stats["bare_exceed"] += 1
-                        stats["max_bare_excess"] = max(
-                            stats["max_bare_excess"], top - bound
-                        )
-                    if top > bound + fft_err:
+        for curve in all_curves(field(p)):
+            stats["curves"] += 1
+            s = group_structure(curve)
+            size = s.size
+            fft_err = charsum.spectrum_err_bound(size)
+            omega_groups = [
+                g
+                for g in charsum.small_character_subgroups(s.m, s.l, index_max)
+                if len(g) > 1
+            ]
+            masks = [charsum.subgroup_mask(s.m, s.l, g) for g in omega_groups]
+            # chi(psi_3 psi_5) = chi(psi_3) chi(psi_5) entrywise, and the
+            # infinity slot is 0 in both grids, so one tower per ell serves all
+            g3 = charsum._chi_grid(curve, (3,))
+            g5 = charsum._chi_grid(curve, (5,))
+            for ells, grid in (((3,), g3), ((5,), g5), ((3, 5), g3 * g5)):
+                d = charsum.weil_degree(ells)
+                bound = 2 * d * sqrt_p
+                spec = np.fft.ifft2(grid.astype(np.float64)) * size
+                mods = np.abs(spec)
+                stats["spectra"] += 1
+                top = float(mods.max())
+                stats["max_ratio"] = max(stats["max_ratio"], top / bound)
+                if top > bound:
+                    stats["bare_exceed"] += 1
+                    stats["max_bare_excess"] = max(stats["max_bare_excess"], top - bound)
+                failure = {"p": p, "a": curve.a, "b": curve.b, "ells": list(ells)}
+                if top > bound + fft_err:
+                    stats["failures"].append({**failure, "max": top})
+                for omega_h, mask in zip(omega_groups, masks):
+                    sub = np.fft.ifft2(grid * mask) * size
+                    avg = charsum.averaged_spectrum(spec, omega_h)
+                    gap = float(np.abs(sub - avg).max())
+                    scale = max(1.0, float(np.abs(sub).max()))
+                    stats["max_avg_gap"] = max(stats["max_avg_gap"], gap / scale)
+                    stats["subgroup_checks"] += 1
+                    if gap > avg_tol * scale:
                         stats["failures"].append(
-                            {"p": p, "a": a, "b": b, "ells": list(ells), "max": top}
+                            {**failure, "check": "averaging", "gap": gap}
                         )
-                    for omega_h, mask in zip(omega_groups, masks):
-                        sub = np.fft.ifft2(grid * mask) * size
-                        avg = charsum.averaged_spectrum(spec, omega_h)
-                        gap = float(np.abs(sub - avg).max())
-                        scale = max(1.0, float(np.abs(sub).max()))
-                        stats["max_avg_gap"] = max(stats["max_avg_gap"], gap / scale)
-                        stats["subgroup_checks"] += 1
-                        if gap > avg_tol * scale:
-                            stats["failures"].append(
-                                {
-                                    "p": p,
-                                    "a": a,
-                                    "b": b,
-                                    "ells": list(ells),
-                                    "check": "averaging",
-                                    "gap": gap,
-                                }
-                            )
-                        if float(np.abs(sub).max()) > bound + fft_err:
-                            stats["failures"].append(
-                                {
-                                    "p": p,
-                                    "a": a,
-                                    "b": b,
-                                    "ells": list(ells),
-                                    "check": "subgroup-bound",
-                                }
-                            )
+                    if float(np.abs(sub).max()) > bound + fft_err:
+                        stats["failures"].append({**failure, "check": "subgroup-bound"})
     return stats
 
 
@@ -637,17 +534,13 @@ def sweep_scan(p_min: int, p_max: int, seed: int = 0, threads: int = 1) -> list[
 # -- command implementations ------------------------------------------------------
 
 
-def _build_curve(p: int, a: int, b: int) -> EllipticCurve:
-    return EllipticCurve(field(p), a, b)
-
-
 def _build_view(p: int, a: int, b: int, px: int, py: int) -> EdsView:
-    curve = _build_curve(p, a, b)
+    curve = EllipticCurve(p, a, b)
     return EdsView(curve, Point(px % p, py % p))
 
 
 def cmd_eval(p: int, a: int, b: int, px: int, py: int, n: int) -> dict:
-    curve = _build_curve(p, a, b)
+    curve = EllipticCurve(p, a, b)
     pt = Point(px % p, py % p)
     ev = PsiEvaluator(curve, pt)
     value = ev.psi(n)
@@ -687,15 +580,15 @@ def cmd_sums(
     if char_order == 2:
         if n_terms:
             bias = charsum.bias_report(view, n_terms)
+            total = bias.total
             counts = {"plus": bias.plus, "minus": bias.minus, "zero": bias.zero}
-            ratio = charsum.bound_ratio(view, "incomplete", n_terms)
         else:
+            total = 0
             counts = {"plus": 0, "minus": 0, "zero": 0}
-            ratio = 0.0
         out["incomplete"] = {
             "n_terms": n_terms,
-            "sum": charsum.incomplete_sum(view, n_terms),
-            "envelope_ratio": ratio,
+            "sum": total,
+            "envelope_ratio": abs(total) / charsum.incomplete_envelope(length, p),
             **counts,
         }
         if twist_a == "all":
@@ -719,7 +612,7 @@ def cmd_sums(
                 "im": cs.im,
                 "modulus": cs.modulus,
                 "err_bound": cs.err_bound,
-                "envelope_ratio": charsum.bound_ratio(view, "complete", int(twist_a)),
+                "envelope_ratio": cs.modulus / charsum.complete_envelope(length, p),
             }
     else:
         d = char_order
@@ -761,7 +654,7 @@ def cmd_verify(
     ells: tuple[int, ...] = (3,),
 ) -> dict:
     view = _build_view(p, a, b, px, py)
-    rng = SplitMix64(seed ^ (p * STREAM_MULT & _MASK64))
+    rng = stream(seed, p)
     checks: list[dict] = []
 
     def run(name: str, fn) -> None:

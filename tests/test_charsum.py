@@ -37,6 +37,7 @@ from edschar.charsum import (
 from edschar.curve import EllipticCurve, Point, enumerate_points, group_structure, point_order
 from edschar.eds import EdsView, x_only_psi
 from edschar.field import field
+from edschar.harness import seeded_view
 
 
 def _euler_chi(v: int, p: int) -> int:
@@ -210,6 +211,17 @@ def test_spectrum_matches_per_twist(f5_view, f5_r7_view):
         for a in range(view.window_length):
             single = complete_sum(view, a)
             assert abs(spec[a] - single.value) <= err + single.err_bound
+
+
+def test_complete_sum_matches_spectrum_large_view():
+    # R = 49 684 here, against R <= 18 for the p = 5 views above
+    view = seeded_view(50_021, 3)
+    length = view.window_length
+    spec = complete_spectrum(view)
+    err = spectrum_err_bound(length)
+    for a in (0, 1, 2, 3, length // 3, length // 2, length - 2, length - 1):
+        single = complete_sum(view, a)
+        assert abs(spec[a] - single.value) <= err + single.err_bound
 
 
 def test_parseval(f5_view):

@@ -9,6 +9,7 @@ from edschar.curve import (
     EllipticCurve,
     GroupStructure,
     Point,
+    all_curves,
     curve_order,
     enumerate_points,
     group_structure,
@@ -152,17 +153,14 @@ def test_enumerate_points_frozen():
 
 def test_enumeration_hasse_bound_all_curves_f7():
     p = 7
-    count_curves = 0
-    for a in range(p):
-        for b in range(p):
-            if (4 * a**3 + 27 * b**2) % p == 0:
-                continue
-            curve = EllipticCurve(field(p), a, b)
-            n = len(enumerate_points(curve))
-            assert abs(n - p - 1) <= 2 * p**0.5
-            assert curve_order(curve) == n
-            count_curves += 1
-    assert count_curves == p * p - p  # the singular locus has exactly p pairs
+    curves = list(all_curves(field(p)))
+    for curve in curves:
+        n = len(enumerate_points(curve))
+        assert abs(n - p - 1) <= 2 * p**0.5
+        assert curve_order(curve) == n
+    assert len(curves) == p * p - p  # the singular locus has exactly p pairs
+    pairs = [(curve.a, curve.b) for curve in curves]
+    assert pairs == sorted(set(pairs))  # (A, B)-lex order, each pair once
 
 
 def test_singular_pair_count_f5():
@@ -188,6 +186,10 @@ def test_curve_order_bsgs_matches_enumeration():
     for a, b in [(1, 1), (3, 5)]:
         curve = EllipticCurve(field(10_007), a, b)
         assert curve_order(curve) == _count_points(curve)
+    for p in (10_007, 10_009):
+        for a, b in itertools.product(range(10), (1, 2, 3)):
+            curve = EllipticCurve(field(p), a, b)
+            assert curve_order(curve) == _count_points(curve)
 
 
 def test_curve_order_cached():

@@ -117,6 +117,8 @@ def test_chi_table_guard():
     p = 4_194_319  # first prime above 2**22
     with pytest.raises(ValueError):
         field(p).chi_table()
+    with pytest.raises(ValueError):
+        field(p).dlog_tables()
 
 
 def test_chi_multiplicative_exhaustive_up_to_100():
@@ -190,6 +192,13 @@ def test_primitive_root_smallest():
     assert F7.primitive_root() == 3  # 2 has order 3 mod 7
     assert field(13).primitive_root() == 2
     assert F5.primitive_root() == 2
+
+
+def test_dlog_tables_invert_powers_of_primitive_root():
+    log_arr, pow_arr = F7.dlog_tables()  # g = 3
+    assert pow_arr.tolist() == [1, 3, 2, 6, 4, 5]
+    assert log_arr.tolist() == [-1, 0, 2, 1, 4, 5, 3]
+    assert F7.dlog_tables() is F7.dlog_tables()  # cached on the field
 
 
 # -- order-d characters ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from edschar import cli, harness
+from edschar import charsum, cli, harness
 from edschar.curve import EllipticCurve
 from edschar.field import field, is_probable_prime
 from edschar.harness import (
@@ -182,6 +182,31 @@ def test_sweep_scan_records_golden():
         hashlib.sha256(text.encode()).hexdigest()
         == "6d81cf8132ef1a6768d0bda091e6c48491aa420b01e24c55680bccf54c208b55"
     )
+
+
+def test_sweep_weil_one_tower_per_ell(monkeypatch):
+    calls = []
+    build = charsum.division_poly_tower
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(charsum, "division_poly_tower", counted)
+    stats = harness.sweep_weil(5, 7)
+    # the grid of psi_3 psi_5 is the product of the psi_3 and psi_5 grids, so
+    # two towers per curve serve all three ell sets
+    assert len(calls) <= 2 * stats["curves"]
+    # reference values, from building a separate tower for each ell set
+    assert {k: stats[k] for k in ("curves", "spectra", "subgroup_checks", "bare_exceed")} == {
+        "curves": 62,
+        "spectra": 186,
+        "subgroup_checks": 318,
+        "bare_exceed": 0,
+    }
+    assert stats["failures"] == [] and stats["max_bare_excess"] == 0.0
+    assert stats["max_ratio"] == pytest.approx(0.5669467095138409, rel=1e-12)
+    assert stats["max_avg_gap"] < 1e-12
 
 
 # -- command payloads ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ COMPLETE_MAX = 10_000_000  # largest R for complete-sum evaluation
 _window_cache: "weakref.WeakKeyDictionary[EdsView, np.ndarray]" = (
     weakref.WeakKeyDictionary()
 )
+_exponent_cache: "weakref.WeakKeyDictionary[EdsView, tuple]" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,13 @@ def bound_ratio(view: EdsView, mode: str, x: int) -> float:
 
 
 def order_d_exponents(view: EdsView, d: int, n_terms: int) -> np.ndarray:
-    """Exponent j of chi_d(psi_n) = e(j/d) for n = 1..n_terms; -1 at zeros."""
+    """Exponent j of chi_d(psi_n) = e(j/d) for n = 1..n_terms; -1 at zeros.
+
+    Read-only; like :func:`chi_window`, cached per view (for the latest d).
+    """
+    cached_d, cached = _exponent_cache.get(view, (None, None))
+    if cached_d == d and len(cached) >= n_terms:
+        return cached[:n_terms]
     fld = view.curve.field
     w = psi_window(view, n_terms)
     exp = fld.dchar_exponent
@@ -242,6 +249,8 @@ def order_d_exponents(view: EdsView, d: int, n_terms: int) -> np.ndarray:
     for i in range(n_terms):
         j = exp(w[i + 1], d)
         out[i] = -1 if j is None else j
+    out.flags.writeable = False
+    _exponent_cache[view] = (d, out)
     return out
 
 

@@ -15,15 +15,16 @@ extended to all integers by the index-halving recurrences
 and the sign rule psi_{-n} = -psi_n.  psi_n(P) = 0 exactly when [n]P = O, so
 the zero set is the multiples of r = ord(P).
 
-Two evaluation strategies are provided: :class:`PsiEvaluator` (memoized
-index halving, O(log n) field ops per fresh index, usable up to n ~ 2**62)
-and a sequential window generator that advances one index at a time with the
-four-term recurrence
+Three evaluation strategies are provided: :class:`PsiEvaluator` (memoized
+index halving, O(log n) field ops per fresh index, usable for |n| < 2**512),
+:func:`psi_window` (the same halving recurrences applied bottom-up, dividing
+only by psi_2), and the stream :func:`psi_sequence`, which advances one index
+at a time with the four-term recurrence
 
     psi_{n+2} psi_{n-2} = psi_{n+1} psi_{n-1} psi_2^2 - psi_3 psi_n^2,
 
 patching indices where the divisor psi_{n-2} vanishes via the halving
-evaluator.  The two must agree termwise; the test suite and the verification
+evaluator.  The three must agree termwise; the test suite and the verification
 harness cross-check them against each other and against symbolic
 division-polynomial evaluation.
 """
@@ -36,6 +37,36 @@ from typing import Iterator
 from .curve import EllipticCurve, Point, point_order
 from .field import factorize
 from .rng import SplitMix64
+
+
+INDEX_LIMIT = 1 << 512  # |n| bound: the halving evaluators recurse once per bit
+
+
+def _check_index(n: int) -> None:
+    if not -INDEX_LIMIT < n < INDEX_LIMIT:
+        raise ValueError("sequence index guarded at |n| < 2**512")
+
+
+def _psi3_f4(curve: EllipticCurve, x: int) -> tuple[int, int]:
+    """(psi_3, f_4) at abscissa x, where psi_4 = y * f_4."""
+    p, a, b = curve.p, curve.a, curve.b
+    x2 = x * x % p
+    x3 = x2 * x % p
+    psi3 = (3 * x2 * x2 + 6 * a * x2 + 12 * b * x - a * a) % p
+    f4 = (
+        4
+        * (
+            x3 * x3
+            + 5 * a * x2 * x2
+            + 20 * b * x3
+            - 5 * a * a % p * x2
+            - 4 * a * b % p * x
+            - 8 * b * b
+            - a * a % p * a
+        )
+        % p
+    )
+    return psi3, f4
 
 
 class PsiEvaluator:
@@ -60,30 +91,15 @@ class PsiEvaluator:
         self.point = point
         p = curve.p
         self.p = p
-        x, y, a, b = point.x, point.y, curve.a, curve.b
-        x2 = x * x % p
-        x3 = x2 * x % p
-        self.psi2 = 2 * y % p
-        self.psi3 = (3 * x2 * x2 + 6 * a * x2 + 12 * b * x - a * a) % p
-        self.psi4 = (
-            4
-            * y
-            * (
-                x3 * x3
-                + 5 * a * x2 * x2
-                + 20 * b * x3
-                - 5 * a * a % p * x2
-                - 4 * a * b % p * x
-                - 8 * b * b
-                - a * a % p * a
-            )
-            % p
-        )
+        self.psi2 = 2 * point.y % p
+        self.psi3, f4 = _psi3_f4(curve, point.x)
+        self.psi4 = point.y * f4 % p
         self._inv_psi2 = pow(self.psi2, -1, p)
         self._memo = {0: 0, 1: 1, 2: self.psi2, 3: self.psi3, 4: self.psi4}
 
     def psi(self, n: int) -> int:
-        """psi_n(P) as a canonical int, for any integer n."""
+        """psi_n(P) as a canonical int, for any integer |n| < 2**512."""
+        _check_index(n)
         if n >= 0:
             return self._psi(n)
         return -self._psi(-n) % self.p
@@ -178,49 +194,39 @@ def psi_eval(view: EdsView | PsiEvaluator, n: int) -> int:
 
 
 def psi_window(view: EdsView, n_max: int) -> list[int]:
-    """[psi_0, psi_1, ..., psi_n_max] via the sequential four-term recurrence.
+    """[psi_0, psi_1, ..., psi_n_max] by the halving recurrences, bottom-up.
 
-    Advances with psi_{j} = (psi_{j-1} psi_{j-3} psi_2^2 - psi_3 psi_{j-2}^2)
-    / psi_{j-4}; the divisor vanishes exactly when j = 4 (mod r), and those
-    indices are patched from the halving evaluator.
+    Level m >= 2 turns psi_{m-2} .. psi_{m+2} into psi_{2m} and psi_{2m+1}
+    (level 2 rewrites psi_4 with itself); since m + 2 < 2m for m >= 3, each
+    level reads only entries already built.  The only division is by psi_2,
+    so zeros of the sequence need no special case.
     """
     ev = view.evaluator
     p = ev.p
-    w = [0] * (n_max + 1)
-    for j in range(1, min(n_max, 4) + 1):
-        w[j] = ev.psi(j)
-    if n_max <= 4:
-        return w
-    c2 = ev.psi2 * ev.psi2 % p
-    c3 = ev.psi3
-    r = view.r
-    psi = ev.psi
-    for j in range(5, n_max + 1):
-        if (j - 4) % r == 0:
-            w[j] = psi(j)
-        else:
-            num = (w[j - 1] * w[j - 3] % p * c2 - c3 * w[j - 2] % p * w[j - 2]) % p
-            w[j] = num * pow(w[j - 4], -1, p) % p
+    inv2 = ev._inv_psi2
+    w = [0, 1, ev.psi2, ev.psi3, ev.psi4] + [0] * (n_max - 3)
+    for m in range(2, (n_max >> 1) + 1):
+        a, b, c, d, e = w[m - 2 : m + 3]
+        w[2 * m] = c * (e * b % p * b - a * d % p * d) % p * inv2 % p
+        w[2 * m + 1] = (e * c % p * c % p * c - b * d % p * d % p * d) % p
+    del w[max(n_max + 1, 0) :]  # the last level may build psi_{n_max+1}
     return w
 
 
 def psi_sequence(view: EdsView, n_max: int) -> Iterator[int]:
-    """Stream psi_1, ..., psi_n_max (sequential recurrence, patched at zeros)."""
+    """Stream psi_1, ..., psi_n_max (four-term recurrence, patched at zeros)."""
     ev = view.evaluator
     p = ev.p
     r = view.r
     w0, w1, w2, w3 = 1, ev.psi2, ev.psi3, ev.psi4  # psi_1 .. psi_4
+    yield from (w0, w1, w2, w3)[: max(n_max, 0)]
     c2 = ev.psi2 * ev.psi2 % p
     c3 = ev.psi3
-    for j in range(1, n_max + 1):
-        if j <= 4:
-            yield (w0, w1, w2, w3)[j - 1]
-            continue
+    for j in range(5, n_max + 1):
         if (j - 4) % r == 0:
             nxt = ev.psi(j)
         else:
-            num = (w3 * w1 % p * c2 - c3 * w2 % p * w2) % p
-            nxt = num * pow(w0, -1, p) % p
+            nxt = (w3 * w1 % p * c2 - c3 * w2 % p * w2) * pow(w0, -1, p) % p
         yield nxt
         w0, w1, w2, w3 = w1, w2, w3, nxt
 
@@ -269,35 +275,16 @@ def x_only_psi(curve: EllipticCurve, x0: int, n: int) -> int:
     even n.  Works at any affine abscissa, including y = 0 (2-torsion), where
     the pointwise evaluator cannot run because psi_2 vanishes.
     """
+    _check_index(n)
     p = curve.p
     x0 %= p
     if n < 0:
         return -x_only_psi(curve, x0, -n) % p
-    a, b = curve.a, curve.b
-    x2 = x0 * x0 % p
-    x3 = x2 * x0 % p
-    c = (x3 + a * x0 + b) % p  # y^2 on the curve
+    c = curve.rhs(x0)  # y^2 on the curve
     c2 = c * c % p
     inv2 = (p + 1) // 2
-    memo = {
-        0: 0,
-        1: 1,
-        2: 2 % p,
-        3: (3 * x2 * x2 + 6 * a * x2 + 12 * b * x0 - a * a) % p,
-        4: (
-            4
-            * (
-                x3 * x3
-                + 5 * a * x2 * x2
-                + 20 * b * x3
-                - 5 * a * a % p * x2
-                - 4 * a * b % p * x0
-                - 8 * b * b
-                - a * a % p * a
-            )
-            % p
-        ),
-    }
+    psi3, f4 = _psi3_f4(curve, x0)
+    memo = {0: 0, 1: 1, 2: 2 % p, 3: psi3, 4: f4}
 
     def f(k: int) -> int:
         v = memo.get(k)

@@ -311,8 +311,8 @@ def sweep_index_product(
 def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) -> dict:
     """Independent evaluation paths agree termwise on every curve over every
     prime in [p_min, p_max]: symbolic division polynomials (coefficient
-    arithmetic, folded mod x^p - x), the doubling-path evaluator, the four-term
-    sliding window, and the streaming generator."""
+    arithmetic, folded mod x^p - x), the doubling-path evaluator, the halving
+    window, and the streaming generator."""
     stats = {"curves": 0, "values": 0, "skipped_curves": 0, "failures": []}
     for p in primes_in(p_min, p_max):
         for curve in all_curves(field(p)):
@@ -351,7 +351,7 @@ def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) 
 def sweep_oracle_random(
     n_curves: int = 50, seed: int = 0, n_max: int = 2000, p_hi: int = 999_999_937
 ) -> dict:
-    """At ~9-digit primes: the doubling path agrees with the sliding window at
+    """At ~9-digit primes: the doubling path agrees with the halving window at
     every index n <= n_max, and both agree with the x-only recurrence (an
     independent pointwise recursion) on a seeded index sample."""
     primes = primes_in(p_hi - 60_000, p_hi)
@@ -619,6 +619,10 @@ def cmd_sums(
         window = d * view.r
         out["order"] = d
         out["order_d_period"] = charsum.order_d_period(view, d)
+        complete = twist_a is not None and twist_a != "all"
+        if complete:
+            # first: the incomplete sum then reads a prefix of its exponents
+            cs = charsum.order_d_sums(view, d, "complete", int(twist_a))
         if n_terms:
             inc = charsum.order_d_sums(view, d, "incomplete", n_terms)
         else:
@@ -629,8 +633,7 @@ def cmd_sums(
             "im": inc.im,
             "err_bound": inc.err_bound,
         }
-        if twist_a is not None and twist_a != "all":
-            cs = charsum.order_d_sums(view, d, "complete", int(twist_a))
+        if complete:
             out["complete"] = {
                 "twist": int(twist_a) % window,
                 "window": window,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from edschar.curve import EllipticCurve, Point, enumerate_points, point_order
 from edschar.eds import (
+    INDEX_LIMIT,
     EdsView,
     PsiEvaluator,
     psi_eval,
@@ -21,6 +22,7 @@ from edschar.eds import (
     x_only_psi,
 )
 from edschar.field import field
+from edschar.harness import seeded_view
 
 # Hand-computed over F_5, curve y^2 = x^3 + 2x + 1, P = (0, 1), ord(P) = 7:
 #   psi_1 = 1, psi_2 = 2y = 2, psi_3 = 12Bx + 6Ax^2 + 3x^4 - A^2 = -4 = 1,
@@ -179,9 +181,15 @@ def test_shift_identity_rejects_bad_arguments(f5_view):
 
 
 def test_window_and_stream_match_evaluator(f5_view, f5_r7_view):
-    for view in (f5_view, f5_r7_view, _VIEW_BIG):
-        n_max = 6 * view.r if view.r < 100 else 500
+    multi_digit = seeded_view(1009, 3)  # r = 1032: zeros at multi-digit indices
+    for view, n_max in (
+        (f5_view, 6 * f5_view.r),
+        (f5_r7_view, 6 * f5_r7_view.r),
+        (_VIEW_BIG, 500),
+        (multi_digit, 3 * multi_digit.r + 5),
+    ):
         w = psi_window(view, n_max)
+        assert len(w) == n_max + 1
         stream = list(psi_sequence(view, n_max))
         fresh = PsiEvaluator(view.curve, view.point)
         for n in range(1, n_max + 1):
@@ -190,11 +198,36 @@ def test_window_and_stream_match_evaluator(f5_view, f5_r7_view):
 
 
 def test_window_patches_across_zeros(f5_r7_view):
-    # indices j = 4 (mod 7) divide by psi_{j-4} = 0 and must come from the patch
+    # indices j = 4 (mod 7) follow a zero psi_{j-4}, where the four-term
+    # recurrence would divide by zero; the halving window must still match
     w = psi_window(f5_r7_view, 60)
     fresh = PsiEvaluator(f5_r7_view.curve, f5_r7_view.point)
     for j in range(4, 61, 7):
         assert w[j] == fresh.psi(j)
+
+
+def test_window_makes_no_evaluator_call(f5_r7_view, monkeypatch):
+    fresh = PsiEvaluator(f5_r7_view.curve, f5_r7_view.point)
+    expected = [fresh.psi(n) for n in range(61)]
+
+    def refuse(self, n):
+        raise AssertionError(f"psi_window called the evaluator at n = {n}")
+
+    monkeypatch.setattr(PsiEvaluator, "psi", refuse)
+    assert psi_window(f5_r7_view, 60) == expected
+
+
+def test_index_guard(f5_view):
+    # the top-down evaluators recurse once per bit of n; a fixed guard refuses
+    # indices deep enough to overflow the interpreter stack
+    period = sequence_period(f5_view).total
+    assert f5_view.psi(2**511) == f5_view.psi(2**511 % period)
+    assert f5_view.psi(INDEX_LIMIT - 1) == f5_view.psi((INDEX_LIMIT - 1) % period)
+    for n in (INDEX_LIMIT, -INDEX_LIMIT, 2**1000):
+        with pytest.raises(ValueError, match="guarded"):
+            f5_view.psi(n)
+        with pytest.raises(ValueError, match="guarded"):
+            x_only_psi(f5_view.curve, f5_view.point.x, n)
 
 
 def test_x_only_matches_full_evaluator(f5_view):

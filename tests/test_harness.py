@@ -7,7 +7,7 @@ import pytest
 
 from edschar import charsum, cli, harness
 from edschar.curve import EllipticCurve
-from edschar.field import field, is_probable_prime
+from edschar.field import PrimeField, field, is_probable_prime
 from edschar.harness import (
     SplitMix64,
     largest_prime_below,
@@ -219,6 +219,15 @@ def test_cmd_eval_frozen():
     assert harness.cmd_eval(5, 1, 1, 0, 1, -2)["psi"] == 3  # -psi_2 mod 5
 
 
+def test_cmd_eval_index_guard(capsys):
+    # the halving evaluator recurses once per bit of n: past the fixed guard
+    # the index is refused instead of overflowing the interpreter stack
+    with pytest.raises(ValueError, match="guarded"):
+        harness.cmd_eval(5, 1, 1, 0, 1, 2**1000)
+    assert _run(_eval_args(n=str(2**1000))) == 1
+    assert "guarded" in capsys.readouterr().err
+
+
 def test_cmd_sums_zero_terms():
     out = harness.cmd_sums(5, 1, 1, 0, 1, cap_n=0)
     inc = out["incomplete"]
@@ -257,6 +266,35 @@ def test_cmd_sums_order_d():
     assert out["complete"]["window"] == 4 * 9
     with pytest.raises(ValueError):
         harness.cmd_sums(5, 1, 1, 0, 1, char_order=3)  # 3 does not divide 4
+
+
+def test_cmd_sums_order_d_builds_exponents_once(monkeypatch):
+    view = seeded_view(1009, 3)
+    d, r = 4, view.r
+    calls = {"exponent": 0, "window": 0}
+    exponent = PrimeField.dchar_exponent
+    window = charsum.psi_window
+
+    def counted_exponent(self, x, d):
+        calls["exponent"] += 1
+        return exponent(self, x, d)
+
+    def counted_window(*args):
+        calls["window"] += 1
+        return window(*args)
+
+    monkeypatch.setattr(PrimeField, "dchar_exponent", counted_exponent)
+    monkeypatch.setattr(charsum, "psi_window", counted_window)
+    out = harness.cmd_sums(
+        1009, view.curve.a, view.curve.b, view.point.x, view.point.y,
+        twist_a=1, char_order=d,
+    )
+    assert out["complete"]["window"] == d * r == 4128
+    # the incomplete sum over 2r terms is a prefix of the complete sum's
+    # d*r exponent window; the other two calls are the shift constants'
+    assert calls["exponent"] <= d * r + 2
+    # one window for chi_period, one for the order-d exponents
+    assert calls["window"] <= 2
 
 
 def test_cmd_verify_all_ok():

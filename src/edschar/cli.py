@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--twist-a",
         default=None,
-        help="additive twist index for the complete sum, or 'all' for the spectrum",
+        help="additive twist index for the complete sum, or 'all' for the quadratic spectrum",
     )
     sp.add_argument(
         "--char-order",

@@ -15,18 +15,19 @@ extended to all integers by the index-halving recurrences
 and the sign rule psi_{-n} = -psi_n.  psi_n(P) = 0 exactly when [n]P = O, so
 the zero set is the multiples of r = ord(P).
 
-Three evaluation strategies are provided: :class:`PsiEvaluator` (memoized
-index halving, O(log n) field ops per fresh index, usable for |n| < 2**512),
-:func:`psi_window` (the same halving recurrences applied bottom-up, dividing
-only by psi_2), and the stream :func:`psi_sequence`, which advances one index
-at a time with the four-term recurrence
+Three evaluation strategies are provided.  :class:`PsiEvaluator` walks an
+8-term block of consecutive values down the bits of n with the halving
+recurrences (one step per bit, constant memory, no memo and no recursion;
+usable for |n| < 2**512).  :func:`psi_window` applies the same recurrences
+bottom-up to build psi_0 .. psi_N, dividing only by psi_2.  The stream
+:func:`psi_sequence` advances one index at a time with the four-term recurrence
 
     psi_{n+2} psi_{n-2} = psi_{n+1} psi_{n-1} psi_2^2 - psi_3 psi_n^2,
 
-patching indices where the divisor psi_{n-2} vanishes via the halving
-evaluator.  The three must agree termwise; the test suite and the verification
-harness cross-check them against each other and against symbolic
-division-polynomial evaluation.
+patching indices where the divisor psi_{n-2} vanishes via the ladder.  The
+three must agree termwise; the test suite and the verification harness
+cross-check them against each other, against the x-only recursion
+:func:`x_only_psi` and against symbolic division-polynomial evaluation.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .field import factorize
 from .rng import SplitMix64
 
 
-INDEX_LIMIT = 1 << 512  # |n| bound: the halving evaluators recurse once per bit
+INDEX_LIMIT = 1 << 512  # |n| bound: one ladder step, one x_only_psi frame per bit
 
 
 def _check_index(n: int) -> None:
@@ -70,14 +71,20 @@ def _psi3_f4(curve: EllipticCurve, x: int) -> tuple[int, int]:
 
 
 class PsiEvaluator:
-    """Memoized psi_n evaluation at a fixed affine point with y != 0.
+    """psi_n at a fixed affine point with y != 0, by an 8-term block ladder.
 
-    Safe for concurrent readers: the memo is only ever extended with values
-    that are pure functions of the index, so racing writers store identical
-    entries.
+    psi(n) walks the bits of |n| from the top, carrying the block
+    [psi_{k-3}, ..., psi_{k+4}] from k to 2k or 2k + 1 by the halving
+    formulas: the EDS double-and-add of Shipsey (PhD thesis, 2000) in the
+    block form of Stange ("The Tate pairing via elliptic nets", 2007).  One
+    step per bit of n, constant memory, no recursion.
+
+    Safe for concurrent readers: everything the evaluator keeps (psi_2,
+    psi_3, psi_4, the inverse of psi_2 and the seed block psi_{-3..11}) is
+    fixed at construction, so a call only reads shared state.
     """
 
-    __slots__ = ("curve", "point", "p", "psi2", "psi3", "psi4", "_inv_psi2", "_memo")
+    __slots__ = ("curve", "point", "p", "psi2", "psi3", "psi4", "_inv_psi2", "_seed")
 
     def __init__(self, curve: EllipticCurve, point: Point):
         curve.validate_point(point)
@@ -91,47 +98,75 @@ class PsiEvaluator:
         self.point = point
         p = curve.p
         self.p = p
-        self.psi2 = 2 * point.y % p
-        self.psi3, f4 = _psi3_f4(curve, point.x)
-        self.psi4 = point.y * f4 % p
-        self._inv_psi2 = pow(self.psi2, -1, p)
-        self._memo = {0: 0, 1: 1, 2: self.psi2, 3: self.psi3, 4: self.psi4}
+        psi2 = self.psi2 = 2 * point.y % p
+        psi3, f4 = _psi3_f4(curve, point.x)
+        self.psi3 = psi3
+        psi4 = self.psi4 = point.y * f4 % p
+        self._inv_psi2 = pow(psi2, -1, p)
+        # psi_{-3..4} by the sign rule is the block at 0; walking it to the
+        # block at 7 (0 -> 1 -> 3 -> 7) adds psi_5 .. psi_11
+        at_zero = (-psi3 % p, -psi2 % p, p - 1, 0, 1, psi2, psi3, psi4)
+        self._seed = at_zero[:7] + self._walk(at_zero, 7, 3)
 
     def psi(self, n: int) -> int:
         """psi_n(P) as a canonical int, for any integer |n| < 2**512."""
         _check_index(n)
-        if n >= 0:
-            return self._psi(n)
-        return -self._psi(-n) % self.p
+        if -4 < n < 12:
+            return self._seed[n + 3]
+        if n > 0:
+            return self._block(n)[3]
+        return -self._block(-n)[3] % self.p
 
-    def _psi(self, n: int) -> int:
-        memo = self._memo
-        v = memo.get(n)
-        if v is not None:
-            return v
+    def _block(self, n: int) -> tuple[int, ...]:
+        """(psi_{n-3}, ..., psi_{n+4}) for n >= 0: the seed block at the top
+        three bits of n, walked down the remaining bits."""
+        shift = max(n.bit_length() - 3, 0)
+        k = n >> shift
+        return self._walk(self._seed[k : k + 8], n, shift)
+
+    def _walk(self, block: tuple[int, ...], n: int, steps: int) -> tuple[int, ...]:
+        """The block at n, from `block` at n >> steps, one step per low bit.
+
+        For the block w at k (w_j = psi_{k-3+j}) let S_j = w_j^2 and
+        P_j = w_{j-1} w_{j+1}.  At m = k-3+j the halving formulas read
+
+            psi_{2m+1} = P_{j+1} S_j - P_j S_{j+1},
+            psi_{2m} psi_2 = P_{j+1} S_{j-1} - P_{j-1} S_{j+1},
+
+        so S_1..S_6 and P_1..P_6 give psi_{2k-3} .. psi_{2k+5}: the block at
+        2k is the first eight of them, the block at 2k + 1 the last eight.
+        """
         p = self.p
-        m = n >> 1
-        if n & 1:
-            w0 = self._psi(m - 1)
-            w1 = self._psi(m)
-            w2 = self._psi(m + 1)
-            w3 = self._psi(m + 2)
-            v = (w3 * w1 % p * w1 % p * w1 - w0 * w2 % p * w2 % p * w2) % p
-        else:
-            w0 = self._psi(m - 2)
-            w1 = self._psi(m - 1)
-            w2 = self._psi(m)
-            w3 = self._psi(m + 1)
-            w4 = self._psi(m + 2)
-            v = (
-                w2
-                * (w4 * w1 % p * w1 - w0 * w3 % p * w3)
-                % p
-                * self._inv_psi2
-                % p
-            )
-        memo[n] = v
-        return v
+        inv2 = self._inv_psi2
+        w0, w1, w2, w3, w4, w5, w6, w7 = block
+        for i in range(steps - 1, -1, -1):
+            s1, s2, s3 = w1 * w1 % p, w2 * w2 % p, w3 * w3 % p
+            s4, s5, s6 = w4 * w4 % p, w5 * w5 % p, w6 * w6 % p
+            p1, p2, p3 = w0 * w2 % p, w1 * w3 % p, w2 * w4 % p
+            p4, p5, p6 = w3 * w5 % p, w4 * w6 % p, w5 * w7 % p
+            if (n >> i) & 1:
+                w0, w1, w2, w3, w4, w5, w6, w7 = (
+                    (p3 * s1 - p1 * s3) * inv2 % p,
+                    (p3 * s2 - p2 * s3) % p,
+                    (p4 * s2 - p2 * s4) * inv2 % p,
+                    (p4 * s3 - p3 * s4) % p,
+                    (p5 * s3 - p3 * s5) * inv2 % p,
+                    (p5 * s4 - p4 * s5) % p,
+                    (p6 * s4 - p4 * s6) * inv2 % p,
+                    (p6 * s5 - p5 * s6) % p,
+                )
+            else:
+                w0, w1, w2, w3, w4, w5, w6, w7 = (
+                    (p2 * s1 - p1 * s2) % p,
+                    (p3 * s1 - p1 * s3) * inv2 % p,
+                    (p3 * s2 - p2 * s3) % p,
+                    (p4 * s2 - p2 * s4) * inv2 % p,
+                    (p4 * s3 - p3 * s4) % p,
+                    (p5 * s3 - p3 * s5) * inv2 % p,
+                    (p5 * s4 - p4 * s5) % p,
+                    (p6 * s4 - p4 * s6) * inv2 % p,
+                )
+        return w0, w1, w2, w3, w4, w5, w6, w7
 
 
 class EdsView:
@@ -159,10 +194,9 @@ class EdsView:
         self.r = r
         p = curve.p
         ev = self.evaluator
-        if ev.psi(r) != 0:
+        _, w_b2, w_b1, w_r, w_a1, w_a2, _, _ = ev._block(r)
+        if w_r != 0:
             raise ValueError(f"psi_{r} != 0 at {point}; r is not the point order")
-        w_b1, w_b2 = ev.psi(r - 1), ev.psi(r - 2)  # before the zero
-        w_a1, w_a2 = ev.psi(r + 1), ev.psi(r + 2)  # after the zero
         if 0 in (w_b1, w_b2, w_a1, w_a2):
             raise AssertionError("psi vanished off the multiples of r")
         self.mult_a = w_b1 * ev.psi2 % p * pow(w_b2, -1, p) % p
@@ -189,7 +223,7 @@ class EdsView:
 
 
 def psi_eval(view: EdsView | PsiEvaluator, n: int) -> int:
-    """psi_n at the view's point (memoized index halving)."""
+    """psi_n at the view's point (the block ladder)."""
     return view.psi(n)
 
 

@@ -575,7 +575,9 @@ def cmd_sums(
         "point": {"x": view.point.x, "y": view.point.y},
         "r": view.r,
         "R": length,
-        "chi_period": charsum.chi_period(view),
+        # the period the shift constants predict; criterion 4 checks it equals
+        # the measured minimal period, and it needs no 2r-term window
+        "chi_period": charsum.order_d_period(view, 2),
     }
     if char_order == 2:
         if n_terms:
@@ -615,6 +617,11 @@ def cmd_sums(
                 "envelope_ratio": cs.modulus / charsum.complete_envelope(length, p),
             }
     else:
+        if twist_a == "all":
+            raise ValueError(
+                "the full spectrum is quadratic-only (char_order 2); "
+                "pass a single twist index"
+            )
         d = char_order
         window = d * view.r
         out["order"] = d
@@ -761,8 +768,7 @@ def cmd_bench(seed: int = 0) -> dict:
     """Desk-scale timing and large-input correctness checks."""
     out: dict = {"seed": seed}
 
-    # single-value evaluation at n = 2^62 near the modulus cap; a fresh
-    # evaluator per repetition so the memo never amortizes the cost away
+    # single-value evaluation at n = 2^62 near the modulus cap
     p62 = largest_prime_below(1 << 62)
     fld = field(p62)
     rng = stream(seed, p62)

@@ -1,6 +1,8 @@
 """Sequence evaluators and the algebraic identities they must satisfy."""
 
 import random
+import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -22,7 +24,8 @@ from edschar.eds import (
     x_only_psi,
 )
 from edschar.field import field
-from edschar.harness import seeded_view
+from edschar.harness import largest_prime_below, random_curve, seeded_view
+from edschar.rng import SplitMix64
 
 # Hand-computed over F_5, curve y^2 = x^3 + 2x + 1, P = (0, 1), ord(P) = 7:
 #   psi_1 = 1, psi_2 = 2y = 2, psi_3 = 12Bx + 6Ax^2 + 3x^4 - A^2 = -4 = 1,
@@ -218,8 +221,8 @@ def test_window_makes_no_evaluator_call(f5_r7_view, monkeypatch):
 
 
 def test_index_guard(f5_view):
-    # the top-down evaluators recurse once per bit of n; a fixed guard refuses
-    # indices deep enough to overflow the interpreter stack
+    # the ladder takes one step per bit of n and the x-only evaluator recurses
+    # once per bit; a fixed guard refuses indices past 2**512 in both
     period = sequence_period(f5_view).total
     assert f5_view.psi(2**511) == f5_view.psi(2**511 % period)
     assert f5_view.psi(INDEX_LIMIT - 1) == f5_view.psi((INDEX_LIMIT - 1) % period)
@@ -228,6 +231,37 @@ def test_index_guard(f5_view):
             f5_view.psi(n)
         with pytest.raises(ValueError, match="guarded"):
             x_only_psi(f5_view.curve, f5_view.point.x, n)
+
+
+def test_deep_index_needs_no_recursion(f5_view):
+    # a fresh evaluator, so that no earlier call has left anything behind
+    fresh = PsiEvaluator(f5_view.curve, f5_view.point)
+    n = (1 << 511) - 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        got = fresh.psi(n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == f5_view.psi(n % sequence_period(f5_view).total)
+
+
+def test_random_queries_keep_memory_flat():
+    p = largest_prime_below(1 << 62)
+    rng = SplitMix64(11)
+    curve = random_curve(field(p), rng)
+    ev = PsiEvaluator(curve, curve.random_point(rng, nonzero_y=True))
+    indices = [rng.randrange(1 << 61, 1 << 62) for _ in range(1000)]
+    ev.psi(indices[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in indices:
+            ev.psi(n)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
 
 
 def test_x_only_matches_full_evaluator(f5_view):
@@ -347,7 +381,7 @@ def test_sequence_period_minimality_brute(f5_view):
 
 
 def test_concurrent_evaluation_consistent(f5_view):
-    view = EdsView(f5_view.curve, f5_view.point)  # fresh memo
+    view = EdsView(f5_view.curve, f5_view.point)  # its own view; evaluators keep no state
     indices = list(range(1, 400))
     expected = [f5_view.psi(n) for n in indices]
     rng = random.Random(0)

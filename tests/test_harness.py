@@ -291,10 +291,48 @@ def test_cmd_sums_order_d_builds_exponents_once(monkeypatch):
     )
     assert out["complete"]["window"] == d * r == 4128
     # the incomplete sum over 2r terms is a prefix of the complete sum's
-    # d*r exponent window; the other two calls are the shift constants'
-    assert calls["exponent"] <= d * r + 2
-    # one window for chi_period, one for the order-d exponents
-    assert calls["window"] <= 2
+    # d*r exponent window; the other four calls are the shift constants',
+    # at order d and at order 2 for chi_period
+    assert calls["exponent"] <= d * r + 4
+    # one window, for the order-d exponents (chi_period is predicted from
+    # the shift constants and reads no window)
+    assert calls["window"] <= 1
+
+
+def test_cmd_sums_order_d_spectrum_refused(capsys):
+    # the full spectrum is quadratic-only: asking for it at order d > 2 is
+    # an error, not a payload without a "complete" key
+    view = seeded_view(1009, 3)
+    args = (1009, view.curve.a, view.curve.b, view.point.x, view.point.y)
+    with pytest.raises(ValueError, match="quadratic-only"):
+        harness.cmd_sums(*args, twist_a="all", char_order=4)
+    argv = ["sums"]
+    for flag, value in zip(("--p", "--a", "--b", "--px", "--py"), args):
+        argv += [flag, str(value)]
+    assert _run(argv + ["--twist-a", "all", "--char-order", "4"]) == 1
+    assert "quadratic-only" in capsys.readouterr().err
+
+
+def test_cmd_sums_chi_period_is_the_measured_period(f5_view, f5_r7_view):
+    for view in (f5_view, f5_r7_view, seeded_view(1009, 3), seeded_view(99_991, 1)):
+        c = view.curve
+        out = harness.cmd_sums(c.p, c.a, c.b, view.point.x, view.point.y, cap_n=10)
+        assert out["chi_period"] == charsum.chi_period(view)
+
+
+def test_cmd_sums_cap_n_at_large_prime():
+    # a short incomplete sum at a 9-digit prime must not build the 2r-term
+    # window (r ~ 10^9, past the character-window guard)
+    p = 999_999_937
+    view = seeded_view(p, 0)
+    c = view.curve
+    out = harness.cmd_sums(p, c.a, c.b, view.point.x, view.point.y, cap_n=100)
+    assert out["r"] == view.r and 2 * view.r > 20_000_000
+    assert out["chi_period"] == charsum.order_d_period(view, 2)
+    assert out["chi_period"] in (view.r, 2 * view.r)
+    inc = out["incomplete"]
+    assert inc["n_terms"] == 100
+    assert inc["sum"] == sum(c.field.chi(view.psi(n)) for n in range(1, 101))
 
 
 def test_cmd_verify_all_ok():

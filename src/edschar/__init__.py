@@ -12,15 +12,11 @@ Layers, bottom up:
 
 from .charsum import (
     BiasReport,
-    ChiSequence,
     ComplexSum,
     WeilCheckReport,
     averaged_spectrum,
     bias_report,
-    bound_ratio,
     chi_period,
-    chi_psi,
-    chi_sequence,
     chi_window,
     complete_envelope,
     complete_spectrum,
@@ -50,24 +46,21 @@ from .eds import (
     EdsView,
     PsiEvaluator,
     SequencePeriod,
-    psi_eval,
     psi_sequence,
     psi_window,
     recurrence_residual,
     sequence_period,
-    shift_constants,
     verify_index_product,
     verify_shift_identity,
     x_only_psi,
 )
 from .field import PrimeField, divisors, factorize, field, is_probable_prime, primes_in
-from .symbolic import XPoly, division_poly_tower, psi_symbolic
+from .symbolic import division_poly_tower, psi_symbolic
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BiasReport",
-    "ChiSequence",
     "ComplexSum",
     "EdsView",
     "EllipticCurve",
@@ -77,13 +70,9 @@ __all__ = [
     "PsiEvaluator",
     "SequencePeriod",
     "WeilCheckReport",
-    "XPoly",
     "averaged_spectrum",
     "bias_report",
-    "bound_ratio",
     "chi_period",
-    "chi_psi",
-    "chi_sequence",
     "chi_window",
     "complete_envelope",
     "complete_spectrum",
@@ -103,13 +92,11 @@ __all__ = [
     "order_d_sums",
     "point_order",
     "primes_in",
-    "psi_eval",
     "psi_sequence",
     "psi_symbolic",
     "psi_window",
     "recurrence_residual",
     "sequence_period",
-    "shift_constants",
     "small_character_subgroups",
     "spectrum_err_bound",
     "subgroup_mask",

@@ -22,7 +22,7 @@ import numpy as np
 from .curve import EllipticCurve, Point, group_structure
 from .eds import EdsView, psi_window
 from .field import divisors
-from .symbolic import XPoly, division_poly_tower
+from .symbolic import division_poly_tower, horner
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,20 +78,6 @@ def chi_window(view: EdsView, n_terms: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ChiSequence:
-    """One canonical window chi(psi_1..psi_R), R = 2r, with its minimal period."""
-
-    values: np.ndarray
-    window_length: int
-    period: int
-
-
-def chi_psi(view: EdsView, n: int) -> int:
-    """chi(psi_n(P)); zero exactly when r | n."""
-    return view.curve.field.chi(view.psi(n))
-
-
 def chi_period(view: EdsView) -> int:
     """Minimal period of n -> chi(psi_n); always a divisor of 2r."""
     window = chi_window(view, view.window_length)
@@ -100,15 +86,6 @@ def chi_period(view: EdsView) -> int:
         if np.array_equal(window, np.roll(window, -d)):
             return d
     raise AssertionError("window of length 2r was not 2r-periodic")
-
-
-def chi_sequence(view: EdsView) -> ChiSequence:
-    window = chi_window(view, view.window_length)
-    return ChiSequence(
-        values=window.copy(),
-        window_length=view.window_length,
-        period=chi_period(view),
-    )
 
 
 def incomplete_sum(view: EdsView, n_terms: int) -> int:
@@ -215,20 +192,6 @@ def complete_envelope(window_length: int, q: int) -> float:
 def incomplete_envelope(window_length: int, q: int) -> float:
     """R^(5/6) q^(1/12) (log q)^(4/3), the partial-sum growth envelope."""
     return window_length ** (5 / 6) * q ** (1 / 12) * math.log(q) ** (4 / 3)
-
-
-def bound_ratio(view: EdsView, mode: str, x: int) -> float:
-    """|sum| / envelope for mode 'complete' (x = twist a) or 'incomplete' (x = N).
-
-    Reported, not asserted: the envelopes carry an unspecified constant.
-    """
-    q = view.curve.p
-    length = view.window_length
-    if mode == "complete":
-        return complete_sum(view, x).modulus / complete_envelope(length, q)
-    if mode == "incomplete":
-        return abs(incomplete_sum(view, x)) / incomplete_envelope(length, q)
-    raise ValueError(f"mode must be 'complete' or 'incomplete', got {mode!r}")
 
 
 # -- order-d character sums ---------------------------------------------------
@@ -364,15 +327,10 @@ def _chi_grid(curve: EllipticCurve, ells: tuple[int, ...]) -> np.ndarray:
     """chi(f(P)) on the (M, L) grid, f = prod psi_ell; 0 at the infinity slot."""
     s, xs = _coordinate_grid(curve)
     tower = division_poly_tower(curve, max(ells))
-    p = curve.p
     out = np.ones(xs.shape, dtype=np.int8)
     table = curve.field.chi_table()
     for l in ells:
-        coeffs = tower[l][1].c
-        acc = np.zeros(xs.shape, dtype=np.int64)
-        for coef in coeffs[::-1]:
-            acc = (acc * xs + int(coef)) % p
-        out = out * table[acc]
+        out = out * table[horner(tower[l][1], xs, curve.p)]
     out[0, 0] = 0
     return out
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .curve import EllipticCurve, Point, point_order
+from .curve import EllipticCurve, Point, _hasse_interval, point_order
 from .field import factorize
 from .rng import SplitMix64
 
@@ -187,13 +187,15 @@ class EdsView:
         self.evaluator = PsiEvaluator(curve, point)
         self.curve = curve
         self.point = point
+        ev = self.evaluator
         if r is None:
             r = point_order(curve, point)
-        if r < 3:
-            raise ValueError(f"point order must be >= 3, got {r}")
+        elif not 3 <= r <= _hasse_interval(curve.p)[1]:  # keeps factorize(r) fast
+            raise ValueError(f"point order must be in [3, p + 1 + 2 sqrt(p)], got {r}")
+        elif any(ev.psi(r // q) == 0 for q in factorize(r)):  # [r/q]P = O
+            raise ValueError(f"r = {r} is a multiple of the order of {point}")
         self.r = r
         p = curve.p
-        ev = self.evaluator
         _, w_b2, w_b1, w_r, w_a1, w_a2, _, _ = ev._block(r)
         if w_r != 0:
             raise ValueError(f"psi_{r} != 0 at {point}; r is not the point order")
@@ -220,11 +222,6 @@ class EdsView:
 
     def psi(self, n: int) -> int:
         return self.evaluator.psi(n)
-
-
-def psi_eval(view: EdsView | PsiEvaluator, n: int) -> int:
-    """psi_n at the view's point (the block ladder)."""
-    return view.psi(n)
 
 
 def psi_window(view: EdsView, n_max: int) -> list[int]:
@@ -279,11 +276,6 @@ def recurrence_residual(view: EdsView | PsiEvaluator, h: int, i: int, j: int) ->
     t2 = psi(i + j) * psi(i - j) % p * (wh * wh % p)
     t3 = psi(j + h) * psi(j - h) % p * (wi * wi % p)
     return (t1 + t2 + t3) % p
-
-
-def shift_constants(view: EdsView) -> tuple[int, int]:
-    """The order-shift constants (a, b) with psi_{sr+k} = a^(ks) b^(s^2) psi_k."""
-    return view.mult_a, view.mult_b
 
 
 def verify_shift_identity(view: EdsView, s: int, k: int) -> bool:

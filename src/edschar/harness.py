@@ -25,7 +25,6 @@ from .curve import (
     enumerate_points,
     group_structure,
     max_order_point,
-    point_order,
 )
 from .eds import (
     EdsView,
@@ -61,7 +60,7 @@ def random_view(curve: EllipticCurve, rng: SplitMix64) -> EdsView | None:
     pt = curve.random_point(rng, nonzero_y=True, max_tries=128)
     if pt is None:
         return None
-    return EdsView(curve, pt, r=point_order(curve, pt))
+    return EdsView(curve, pt)
 
 
 def seeded_view(p: int, seed: int) -> EdsView:
@@ -229,7 +228,7 @@ def sweep_small_fields(
                 if pt is None or pt.y == 0:
                     stats["skipped_points"] += 1
                     continue
-                view = EdsView(curve, pt, r=point_order(curve, pt))
+                view = EdsView(curve, pt)
                 _check_view_small(
                     view, s_max, stats, deep_period=stats["views"] % period_sample == 0
                 )
@@ -324,7 +323,7 @@ def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) 
                 stats["skipped_curves"] += 1
                 continue
             stats["curves"] += 1
-            view = EdsView(curve, pt, r=point_order(curve, pt))
+            view = EdsView(curve, pt)
             tower = division_poly_tower(curve, n_max, fold=True)
             w = psi_window(view, n_max)
             stream_vals = list(psi_sequence(view, n_max))

@@ -1,8 +1,11 @@
 """Symbolic division polynomials over F_p[x], used as an independent oracle.
 
 Each psi_n is represented as y^t * f_n(x) with t = 1 for even n and t = 0 for
-odd n.  The tower is built bottom-up from the degree-4/degree-6 closed forms
-with the recurrences
+odd n.  A polynomial f_n is a plain int64 coefficient array, constant term
+first, every entry reduced mod p.  Arrays are not trimmed: the length of an
+unfolded f_n is its nominal degree plus one, so its leading entry is n mod p
+and may be zero.  The tower is built bottom-up from the degree-4/degree-6
+closed forms with the recurrences
 
     f_{2m+1} = C^2 f_{m+2} f_m^3 - f_{m-1} f_{m+1}^3      (m even)
     f_{2m+1} = f_{m+2} f_m^3 - C^2 f_{m-1} f_{m+1}^3      (m odd)
@@ -26,84 +29,47 @@ import numpy as np
 from .curve import EllipticCurve, Point
 
 
-class XPoly:
-    """Dense polynomial over F_p, int64 coefficients, constant term first."""
-
-    __slots__ = ("c", "p")
-
-    def __init__(self, coeffs, p: int, reduce: bool = True):
-        c = np.asarray(coeffs, dtype=np.int64)
-        if reduce:
-            c = c % p
-        n = len(c)
-        while n > 1 and c[n - 1] == 0:
-            n -= 1
-        self.c = np.ascontiguousarray(c[:n])
-        self.p = p
-
-    @property
-    def degree(self) -> int:
-        return len(self.c) - 1 if self.c.any() else -1
-
-    def is_zero(self) -> bool:
-        return not self.c.any()
-
-    def __add__(self, other: "XPoly") -> "XPoly":
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        out = a.copy()
-        out[: len(b)] += b
-        return XPoly(out, self.p)
-
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        n = max(len(self.c), len(other.c))
-        out = np.zeros(n, dtype=np.int64)
-        out[: len(self.c)] += self.c
-        out[: len(other.c)] -= other.c
-        return XPoly(out, self.p)
-
-    def __mul__(self, other: "XPoly") -> "XPoly":
+def _mul(p: int, f: np.ndarray, *gs: np.ndarray) -> np.ndarray:
+    """f * g_1 * g_2 * ... mod p, multiplied left to right."""
+    for g in gs:
         # exact int64 convolution needs len * (p-1)^2 < 2^63
-        if min(len(self.c), len(other.c)) * (self.p - 1) ** 2 >= 2**63:
+        if min(len(f), len(g)) * (p - 1) ** 2 >= 2**63:
             raise ValueError("convolution would overflow int64 at this modulus")
-        return XPoly(np.convolve(self.c, other.c), self.p)
+        f = np.convolve(f, g) % p
+    return f
 
-    def scale(self, k: int) -> "XPoly":
-        return XPoly(self.c * (k % self.p), self.p)
 
-    def fold(self) -> "XPoly":
-        """Reduce modulo x^p - x (value-preserving on all of F_p)."""
-        p = self.p
-        if len(self.c) <= p:
-            return self
-        out = np.zeros(p, dtype=np.int64)
-        out[0] = self.c[0]
-        idx = (np.arange(1, len(self.c)) - 1) % (p - 1) + 1
-        np.add.at(out, idx, self.c[1:])
-        return XPoly(out, p)
+def _diff(p: int, left: tuple, right: tuple) -> np.ndarray:
+    """prod(left) - prod(right) mod p; the two products may differ in length."""
+    f, g = _mul(p, *left), _mul(p, *right)
+    out = np.zeros(max(len(f), len(g)), dtype=np.int64)
+    out[: len(f)] = f
+    out[: len(g)] -= g
+    return out % p
 
-    def eval(self, x0: int) -> int:
-        acc = 0
-        p = self.p
-        for coef in self.c[::-1]:
-            acc = (acc * x0 + int(coef)) % p
-        return acc
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, XPoly)
-            and self.p == other.p
-            and np.array_equal(self.c, other.c)
-        )
+def _fold(f: np.ndarray, p: int) -> np.ndarray:
+    """Reduce modulo x^p - x (value-preserving on all of F_p)."""
+    if len(f) <= p:
+        return f
+    out = np.zeros(p, dtype=np.int64)
+    out[0] = f[0]
+    idx = (np.arange(1, len(f)) - 1) % (p - 1) + 1
+    np.add.at(out, idx, f[1:])
+    return out % p
 
-    def __repr__(self) -> str:
-        return f"XPoly({self.c.tolist()}, p={self.p})"
+
+def horner(f: np.ndarray, x, p: int):
+    """f(x) mod p for an int x, or entrywise for an int64 array x of residues."""
+    acc = 0
+    for coef in f[::-1].tolist():
+        acc = (acc * x + coef) % p
+    return acc
 
 
 def division_poly_tower(
     curve: EllipticCurve, n_max: int, fold: bool = False
-) -> list[tuple[int, XPoly]]:
+) -> list[tuple[int, np.ndarray]]:
     """[(t_n, f_n)] for n = 0..n_max with psi_n = y^t_n f_n(x).
 
     With fold=True all entries live in F_p[x]/(x^p - x); evaluation at
@@ -111,52 +77,43 @@ def division_poly_tower(
     """
     p = curve.p
     a, b = curve.a, curve.b
-    tower: list[tuple[int, XPoly]] = [(0, XPoly([0], p))] * (n_max + 1)
-    mk = lambda coeffs: XPoly(coeffs, p)
-    if n_max >= 1:
-        tower[1] = (0, mk([1]))
-    if n_max >= 2:
-        tower[2] = (1, mk([2]))
-    if n_max >= 3:
-        tower[3] = (0, mk([-a * a, 12 * b, 6 * a, 0, 3]))
-    if n_max >= 4:
-        tower[4] = (
-            1,
-            mk([-(8 * b * b + a**3) * 4, -16 * a * b, -20 * a * a, 80 * b, 20 * a, 0, 4]),
-        )
-    if n_max <= 4:
-        return tower
-    c_sq = mk([b, a, 0, 1]) * mk([b, a, 0, 1])
-    if fold:
-        c_sq = c_sq.fold()
+
+    def base(*coeffs: int) -> np.ndarray:
+        # reduced as Python ints: at large p the raw coefficients overflow int64
+        return np.array([c % p for c in coeffs], dtype=np.int64)
+
+    fs = [
+        base(0),
+        base(1),
+        base(2),
+        base(-a * a, 12 * b, 6 * a, 0, 3),
+        base(-(8 * b * b + a**3) * 4, -16 * a * b, -20 * a * a, 80 * b, 20 * a, 0, 4),
+    ][: max(n_max + 1, 0)]
+    if n_max >= 5:
+        c_sq = _mul(p, base(b, a, 0, 1), base(b, a, 0, 1))
+        if fold:
+            c_sq = _fold(c_sq, p)
     inv2 = (p + 1) // 2
     for n in range(5, n_max + 1):
         m = n >> 1
         if n & 1:
-            t1 = tower[m + 2][1] * tower[m][1] * tower[m][1] * tower[m][1]
-            t2 = tower[m - 1][1] * tower[m + 1][1] * tower[m + 1][1] * tower[m + 1][1]
-            if m & 1:
-                f = t1 - t2 * c_sq
-            else:
-                f = t1 * c_sq - t2
-            entry = (0, f.fold() if fold else f)
+            t1 = (fs[m + 2], fs[m], fs[m], fs[m])
+            t2 = (fs[m - 1], fs[m + 1], fs[m + 1], fs[m + 1])
+            f = _diff(p, t1, t2 + (c_sq,)) if m & 1 else _diff(p, t1 + (c_sq,), t2)
         else:
-            diff = (
-                tower[m + 2][1] * tower[m - 1][1] * tower[m - 1][1]
-                - tower[m - 2][1] * tower[m + 1][1] * tower[m + 1][1]
-            )
-            f = (tower[m][1] * diff).scale(inv2)
-            entry = (1, f.fold() if fold else f)
-        tower[n] = entry
-    return tower
+            t1 = (fs[m + 2], fs[m - 1], fs[m - 1])
+            t2 = (fs[m - 2], fs[m + 1], fs[m + 1])
+            f = _mul(p, fs[m], _diff(p, t1, t2)) * inv2 % p
+        fs.append(_fold(f, p) if fold else f)
+    return [(int(n > 0 and n % 2 == 0), f) for n, f in enumerate(fs)]
 
 
 def psi_symbolic(
-    curve: EllipticCurve, point: Point, n: int, tower: list[tuple[int, XPoly]]
+    curve: EllipticCurve, point: Point, n: int, tower: list[tuple[int, np.ndarray]]
 ) -> int:
     """psi_n(point) from a precomputed tower (any affine point, y = 0 allowed)."""
     t, f = tower[n]
-    v = f.eval(point.x)
+    v = horner(f, point.x, curve.p)
     if t:
         v = v * point.y % curve.p
     return v

@@ -13,10 +13,7 @@ from edschar.charsum import (
     annihilator_characters,
     averaged_spectrum,
     bias_report,
-    bound_ratio,
     chi_period,
-    chi_psi,
-    chi_sequence,
     chi_window,
     complete_envelope,
     complete_spectrum,
@@ -37,7 +34,7 @@ from edschar.charsum import (
 from edschar.curve import EllipticCurve, Point, enumerate_points, group_structure, point_order
 from edschar.eds import EdsView, x_only_psi
 from edschar.field import field
-from edschar.harness import seeded_view
+from edschar.harness import cmd_sums, seeded_view
 
 
 def _euler_chi(v: int, p: int) -> int:
@@ -57,7 +54,7 @@ def test_chi_window_matches_per_term(f5_view):
     assert w.dtype == np.int8
     for i in range(n):
         v = f5_view.psi(i + 1)
-        assert int(w[i]) == _euler_chi(v, 5) == chi_psi(f5_view, i + 1)
+        assert int(w[i]) == _euler_chi(v, 5) == f5_view.curve.field.chi(v)
 
 
 def test_chi_window_big_prime_path():
@@ -96,11 +93,11 @@ def test_chi_window_guard(f5_view):
 
 def test_chi_sequence_shape(f5_view, f5_r7_view):
     for view in (f5_view, f5_r7_view):
-        seq = chi_sequence(view)
+        values = chi_window(view, view.window_length)
         r = view.r
-        assert seq.window_length == 2 * r == len(seq.values)
-        assert (2 * r) % seq.period == 0
-        zeros = np.flatnonzero(seq.values == 0) + 1
+        assert view.window_length == 2 * r == len(values)
+        assert (2 * r) % chi_period(view) == 0
+        zeros = np.flatnonzero(values == 0) + 1
         assert list(zeros) == [r, 2 * r]
 
 
@@ -253,14 +250,14 @@ def test_envelopes_and_ratio(f5_view):
     assert incomplete_envelope(length, q) == pytest.approx(
         length ** (5 / 6) * q ** (1 / 12) * math.log(q) ** (4 / 3)
     )
-    assert bound_ratio(f5_view, "complete", 3) == pytest.approx(
+    # the ratios cmd_sums reports are |sum| / envelope
+    out = cmd_sums(5, 1, 1, 0, 1, cap_n=7, twist_a=3)
+    assert out["complete"]["envelope_ratio"] == pytest.approx(
         complete_sum(f5_view, 3).modulus / complete_envelope(length, q)
     )
-    assert bound_ratio(f5_view, "incomplete", 7) == pytest.approx(
+    assert out["incomplete"]["envelope_ratio"] == pytest.approx(
         abs(incomplete_sum(f5_view, 7)) / incomplete_envelope(length, q)
     )
-    with pytest.raises(ValueError):
-        bound_ratio(f5_view, "both", 3)
 
 
 # -- order-d characters --------------------------------------------------------------------

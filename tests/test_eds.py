@@ -13,12 +13,10 @@ from edschar.eds import (
     INDEX_LIMIT,
     EdsView,
     PsiEvaluator,
-    psi_eval,
     psi_sequence,
     psi_window,
     recurrence_residual,
     sequence_period,
-    shift_constants,
     verify_index_product,
     verify_shift_identity,
     x_only_psi,
@@ -61,8 +59,7 @@ def test_order_three_point_vanishes():
 
 
 def test_psi_eval_helper(f5_view):
-    assert psi_eval(f5_view, 3) == f5_view.psi(3) == 4
-    assert psi_eval(f5_view.evaluator, 3) == 4  # bare evaluator accepted
+    assert f5_view.psi(3) == f5_view.evaluator.psi(3) == 4
 
 
 # -- construction guards ------------------------------------------------------------
@@ -83,9 +80,19 @@ def test_rejects_infinity_and_off_curve():
         PsiEvaluator(EllipticCurve(field(5), 1, 1), Point(1, 1))
 
 
-def test_rejects_wrong_order_argument(f5_view):
+def test_rejects_wrong_order_argument(f5_view, f5_r7_view):
     with pytest.raises(ValueError):
         EdsView(f5_view.curve, f5_view.point, r=5)  # psi_5 != 0
+    # multiples of the order: psi_r = 0, but psi_{r/q} = 0 for some prime q | r
+    order3 = EllipticCurve(field(5), 0, 1)
+    for r in (6, 9):
+        with pytest.raises(ValueError, match=f"r = {r} is a multiple of the order"):
+            EdsView(order3, Point(0, 1), r=r)
+    # beyond the Hasse bound p + 1 + 2 sqrt(p) = 10 no point order exists
+    for r in (14, 7 << 400):
+        with pytest.raises(ValueError, match="point order must be in"):
+            EdsView(f5_r7_view.curve, f5_r7_view.point, r=r)
+    assert EdsView(order3, Point(0, 1), r=3).r == 3
 
 
 # -- sign convention and zero pattern -------------------------------------------------
@@ -140,7 +147,7 @@ def test_recurrence_residual_property(h, i, j):
 def test_shift_constants_frozen(f5_r7_view):
     # by hand from R7_VALUES: a = psi_8 / (psi_9 psi_2) with psi_8 = 4 psi_1, so
     # the (s, k) = (1, 1), (1, 2) solve gives a = 1, b = 4
-    assert shift_constants(f5_r7_view) == (1, 4)
+    assert (f5_r7_view.mult_a, f5_r7_view.mult_b) == (1, 4)
     assert f5_r7_view.psi(8) == 4 * f5_r7_view.psi(1) % 5
 
 

@@ -9,10 +9,19 @@ from edschar.curve import EllipticCurve
 from edschar.eds import PsiEvaluator
 from edschar.field import field
 from edschar.harness import largest_prime_below
-from edschar.symbolic import XPoly, division_poly_tower, psi_symbolic
+from edschar.symbolic import _diff, _fold, _mul, division_poly_tower, horner, psi_symbolic
 
 
-# -- XPoly arithmetic against a naive dict reference ---------------------------------
+def _trim(f):
+    """Coefficients as a list without trailing zeros ([] for the zero polynomial)."""
+    return [int(c) for c in np.trim_zeros(np.asarray(f), "b")]
+
+
+def _arr(coeffs, p):
+    return np.array([c % p for c in coeffs], dtype=np.int64)
+
+
+# -- coefficient-array arithmetic against a naive dict reference ---------------------
 
 
 def _naive_mul(a, b, p):
@@ -24,62 +33,81 @@ def _naive_mul(a, b, p):
     return [out.get(k, 0) for k in range(n)]
 
 
-def test_xpoly_arithmetic_matches_naive():
+def _naive_sub(a, b, p):
+    n = max(len(a), len(b))
+    return [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
+
+
+def test_mul_and_diff_match_naive():
     rng = random.Random(11)
     p = 97
     for _ in range(25):
         a = [rng.randrange(p) for _ in range(rng.randrange(1, 9))]
         b = [rng.randrange(p) for _ in range(rng.randrange(1, 9))]
-        pa, pb = XPoly(a, p), XPoly(b, p)
-        n = max(len(a), len(b))
-        want_add = [( (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)]
-        want_sub = [( (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-        assert (pa + pb) == XPoly(want_add, p)
-        assert (pa - pb) == XPoly(want_sub, p)
-        assert (pa * pb) == XPoly(_naive_mul(a, b, p), p)
+        c = [rng.randrange(p) for _ in range(rng.randrange(1, 9))]
+        pa, pb, pc = _arr(a, p), _arr(b, p), _arr(c, p)
+        assert _trim(_diff(p, (pa,), (pb,))) == _trim(_naive_sub(a, b, p))
+        assert _trim(_diff(p, (pb,), (pa,))) == _trim(_naive_sub(b, a, p))
+        assert _trim(_mul(p, pa, pb)) == _trim(_naive_mul(a, b, p))
+        abc = _naive_mul(_naive_mul(a, b, p), c, p)
+        assert _trim(_mul(p, pa, pb, pc)) == _trim(abc)
+        # products of different lengths are aligned before subtracting
+        assert _trim(_diff(p, (pa, pb, pc), (pc,))) == _trim(_naive_sub(abc, c, p))
 
 
-def test_xpoly_trim_degree_zero():
+def test_mul_untrimmed_and_zero():
     p = 13
-    z = XPoly([0, 0, 0], p)
-    assert z.is_zero() and z.degree == -1
-    assert len(z.c) == 1  # trimmed to a single coefficient
-    q = XPoly([3, 0, 5, 0, 0], p)
-    assert q.degree == 2 and list(q.c) == [3, 0, 5]
-    assert q.scale(0).is_zero()
-    assert q.scale(2) == XPoly([6, 0, 10], p)
-    assert q.scale(-1) == XPoly([10, 0, 8], p)
+    z = _arr([0, 0, 0], p)
+    q = _arr([3, 0, 5, 0, 0], p)  # untrimmed: degree 2 in a length-5 array
+    assert _trim(_mul(p, q, z)) == []
+    assert _trim(_mul(p, q, _arr([0], p))) == []
+    assert _trim(_mul(p, q, _arr([2], p))) == [6, 0, 10]
+    assert _trim(_mul(p, q, _arr([-1], p))) == [10, 0, 8]
+    assert _trim(_mul(p, q, _arr([1, 1], p))) == [3, 3, 5, 5]
+    for f in (_mul(p, q, q), _diff(p, (q,), (z,))):
+        assert f.dtype == np.int64 and int(f.min()) >= 0 and int(f.max()) < p
 
 
-def test_xpoly_eval_horner():
+def test_horner_scalar_and_array():
     p = 101
     rng = random.Random(5)
     coeffs = [rng.randrange(p) for _ in range(12)]
-    q = XPoly(coeffs, p)
-    for x0 in (0, 1, 2, 57, 100):
-        want = sum(c * pow(x0, i, p) for i, c in enumerate(coeffs)) % p
-        assert q.eval(x0) == want
+    q = _arr(coeffs, p)
+    xs = np.array([0, 1, 2, 57, 100], dtype=np.int64)
+    want = [sum(c * pow(int(x0), i, p) for i, c in enumerate(coeffs)) % p for x0 in xs]
+    assert [horner(q, int(x0), p) for x0 in xs] == want
+    assert type(horner(q, 57, p)) is int
+    grid = horner(q, xs.reshape(5, 1), p)
+    assert grid.shape == (5, 1) and grid.ravel().tolist() == want
 
 
-def test_xpoly_mul_overflow_guard():
-    p = largest_prime_below(1 << 62)
-    a = XPoly([1, 1], p)
-    with pytest.raises(ValueError):
-        _ = a * a
+def test_tower_overflow_guard_is_named():
+    # above (p - 1)^2 < 2^63 / 4 the first product (C^2) must hit the named
+    # guard, not an OverflowError from converting raw coefficients to int64
+    big = largest_prime_below(1 << 62)
+    for p in (3_037_000_493, big):
+        curve = EllipticCurve(field(p), p - 5, p - 7)
+        base = division_poly_tower(curve, 4)
+        assert [int(c) for c in base[3][1]] == [c % p for c in (-25, -84, -30, 0, 3)]
+        with pytest.raises(ValueError, match="overflow int64"):
+            division_poly_tower(curve, 5)
+    a = _arr([1, 1], big)
+    with pytest.raises(ValueError, match="overflow int64"):
+        _mul(big, a, a)
 
 
 def test_fold_preserves_values_on_field():
     p = 13
     rng = random.Random(2)
     coeffs = [rng.randrange(p) for _ in range(3 * p + 2)]
-    q = XPoly(coeffs, p)
-    folded = q.fold()
-    assert len(folded.c) <= p
+    q = _arr(coeffs, p)
+    folded = _fold(q, p)
+    assert len(folded) <= p
     for x0 in range(p):
-        assert folded.eval(x0) == q.eval(x0)
+        assert horner(folded, x0, p) == horner(q, x0, p)
     # small polynomials fold to themselves
-    small = XPoly([1, 2, 3], p)
-    assert small.fold() is small
+    small = _arr([1, 2, 3], p)
+    assert _fold(small, p) is small
 
 
 # -- frozen base polynomials ----------------------------------------------------------
@@ -87,14 +115,14 @@ def test_fold_preserves_values_on_field():
 
 def test_tower_base_entries_frozen():
     curve = EllipticCurve(field(5), 1, 1)
-    tower = division_poly_tower(curve, 4)
-    assert tower[0] == (0, XPoly([0], 5))
-    assert tower[1] == (0, XPoly([1], 5))
-    assert tower[2] == (1, XPoly([2], 5))
+    tower = [(t, f.tolist()) for t, f in division_poly_tower(curve, 4)]
+    assert tower[0] == (0, [0])
+    assert tower[1] == (0, [1])
+    assert tower[2] == (1, [2])
     # 3x^4 + 6Ax^2 + 12Bx - A^2 with A = B = 1, mod 5
-    assert tower[3] == (0, XPoly([4, 2, 1, 0, 3], 5))
+    assert tower[3] == (0, [4, 2, 1, 0, 3])
     # 4(x^6 + 5Ax^4 + 20Bx^3 - 5A^2x^2 - 4ABx - 8B^2 - A^3), coefficient of y
-    assert tower[4] == (1, XPoly([-36, -16, -20, 80, 20, 0, 4], 5))
+    assert tower[4] == (1, [c % 5 for c in (-36, -16, -20, 80, 20, 0, 4)])
 
 
 # -- degree and leading-coefficient laws ------------------------------------------------
@@ -108,8 +136,9 @@ def test_degrees_and_leading_coefficients():
         t, f = tower[n]
         assert t == (0 if n % 2 else 1)
         want_deg = (n * n - 1) // 2 if n % 2 else (n * n - 4) // 2
-        assert f.degree == want_deg
-        assert int(f.c[-1]) == n % p
+        coeffs = _trim(f)
+        assert len(f) == len(coeffs) == want_deg + 1  # untrimmed length is nominal
+        assert coeffs[-1] == n % p
 
 
 # -- agreement with the pointwise evaluator ----------------------------------------------
@@ -144,8 +173,8 @@ def test_folded_tower_matches_unfolded_everywhere():
         t_plain, f_plain = plain[n]
         t_fold, f_fold = folded[n]
         assert t_plain == t_fold
-        assert all(f_plain.eval(x) == f_fold.eval(x) for x in range(13))
-        assert f_fold.degree < 13 or f_fold.is_zero()
+        assert all(horner(f_plain, x, 13) == horner(f_fold, x, 13) for x in range(13))
+        assert len(_trim(f_fold)) <= 13
 
 
 def test_tower_recurrence_spot_check():
@@ -168,5 +197,5 @@ def test_int64_dtype_stability():
     curve = EllipticCurve(field(10007), 3, 7)
     tower = division_poly_tower(curve, 16)
     for _, f in tower:
-        assert f.c.dtype == np.int64
-        assert int(f.c.min()) >= 0 and int(f.c.max()) < 10007
+        assert f.dtype == np.int64
+        assert int(f.min()) >= 0 and int(f.max()) < 10007

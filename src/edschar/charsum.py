@@ -323,14 +323,20 @@ def _coordinate_grid(curve: EllipticCurve):
     return curve._grid
 
 
-def _chi_grid(curve: EllipticCurve, ells: tuple[int, ...]) -> np.ndarray:
-    """chi(f(P)) on the (M, L) grid, f = prod psi_ell; 0 at the infinity slot."""
-    s, xs = _coordinate_grid(curve)
+def _ell_polys(curve: EllipticCurve, ells: tuple[int, ...]) -> list[np.ndarray]:
+    """The coefficient arrays f_ell of psi_ell, ell in ells, from one tower."""
     tower = division_poly_tower(curve, max(ells))
+    return [tower[l][1] for l in ells]
+
+
+def _chi_grid(curve: EllipticCurve, polys) -> np.ndarray:
+    """chi(f(P)) on the (M, L) grid, f = the product of the coefficient arrays
+    in polys (the f_ell of odd psi_ell); 0 at the infinity slot."""
+    s, xs = _coordinate_grid(curve)
     out = np.ones(xs.shape, dtype=np.int8)
     table = curve.field.chi_table()
-    for l in ells:
-        out = out * table[horner(tower[l][1], xs, curve.p)]
+    for f in polys:
+        out = out * table[horner(f, xs, curve.p)]
     out[0, 0] = 0
     return out
 
@@ -338,7 +344,7 @@ def _chi_grid(curve: EllipticCurve, ells: tuple[int, ...]) -> np.ndarray:
 def weil_spectrum(curve: EllipticCurve, ells) -> np.ndarray:
     """sum_P omega_{a,b}(P) chi(f(P)) for all (a, b), as an (M, L) array."""
     ells = _validate_ells(ells)
-    grid = _chi_grid(curve, ells).astype(np.float64)
+    grid = _chi_grid(curve, _ell_polys(curve, ells)).astype(np.float64)
     return np.fft.ifft2(grid) * grid.size
 
 
@@ -387,7 +393,7 @@ def weil_sum_check(
     """
     ells = _validate_ells(ells)
     s, _ = _coordinate_grid(curve)
-    grid = _chi_grid(curve, ells)
+    grid = _chi_grid(curve, _ell_polys(curve, ells))
     d = weil_degree(ells)
     bound = 2.0 * d * math.sqrt(curve.p)
     a, b = omega[0] % s.m, omega[1] % s.l

@@ -3,7 +3,8 @@
 Subcommands:
   eval    one sequence value psi_n(P) and its quadratic character
   sums    character windows: incomplete/complete (twisted) sums, any order
-  verify  identity checks on one curve/point (exit 2 when a check fails)
+  verify  identity checks on one curve/point, each ok, fail or skipped by a
+          scale guard (exit 2 when a check fails, 1 when all were skipped)
   scan    seeded per-prime records over a prime range (JSON lines)
   bench   desk-scale timing and large-index correctness checks
 

@@ -40,7 +40,7 @@ from .field import factorize
 from .rng import SplitMix64
 
 
-INDEX_LIMIT = 1 << 512  # |n| bound: one ladder step, one x_only_psi frame per bit
+INDEX_LIMIT = 1 << 512  # |n| bound: one ladder step per bit
 
 
 def _check_index(n: int) -> None:
@@ -304,31 +304,30 @@ def x_only_psi(curve: EllipticCurve, x0: int, n: int) -> int:
     _check_index(n)
     p = curve.p
     x0 %= p
-    if n < 0:
-        return -x_only_psi(curve, x0, -n) % p
+    sign, n = (-1 if n < 0 else 1), abs(n)
     c = curve.rhs(x0)  # y^2 on the curve
     c2 = c * c % p
     inv2 = (p + 1) // 2
     psi3, f4 = _psi3_f4(curve, x0)
-    memo = {0: 0, 1: 1, 2: 2 % p, 3: psi3, 4: f4}
-
-    def f(k: int) -> int:
-        v = memo.get(k)
-        if v is not None:
-            return v
+    # the indices the halving recurrences reach from n, level by level down
+    # to the closed forms: each level is a short run around m - 2 .. m + 2
+    need, level = {n}, {n}
+    while level:
+        level = {j for k in level if k > 4 for j in range((k >> 1) - 2 + (k & 1), (k >> 1) + 3)}
+        need |= level
+    f = {0: 0, 1: 1, 2: 2 % p, 3: psi3, 4: f4}
+    for k in sorted(need):  # ascending: m + 2 < k once k > 4
+        if k <= 4:
+            continue
         m = k >> 1
-        f0, f1, f2, f3 = f(m - 1), f(m), f(m + 1), f(m + 2)
+        f0, f1, f2, f3 = f[m - 1], f[m], f[m + 1], f[m + 2]
         if k & 1:
             t1 = f3 * f1 % p * f1 % p * f1 % p
             t2 = f0 * f2 % p * f2 % p * f2 % p
-            v = (t1 * c2 - t2) % p if (m & 1) == 0 else (t1 - t2 * c2) % p
+            f[k] = (t1 * c2 - t2) % p if (m & 1) == 0 else (t1 - t2 * c2) % p
         else:
-            fm2 = f(m - 2)
-            v = f1 * (f3 * f0 % p * f0 - fm2 * f2 % p * f2) % p * inv2 % p
-        memo[k] = v
-        return v
-
-    return f(n)
+            f[k] = f1 * (f3 * f0 % p * f0 - f[m - 2] * f2 % p * f2) % p * inv2 % p
+    return sign * f[n] % p
 
 
 def verify_index_product(view: EdsView, n: int, m: int) -> bool:

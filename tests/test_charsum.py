@@ -35,6 +35,7 @@ from edschar.curve import EllipticCurve, Point, enumerate_points, group_structur
 from edschar.eds import EdsView, x_only_psi
 from edschar.field import field
 from edschar.harness import cmd_sums, seeded_view
+from edschar.symbolic import division_poly_tower
 
 
 def _euler_chi(v: int, p: int) -> int:
@@ -494,7 +495,8 @@ def test_subgroup_mask_and_averaged_spectrum():
         assert int(mask.sum()) * len(omega_h) == s.m * s.l
         avg = averaged_spectrum(spec, omega_h)
         # row (0, 0) of the averaged spectrum = plain chi-sum over the subgroup H
-        masked = complex(_chi_grid(NONCYCLIC, (3,))[mask].astype(np.float64).sum())
+        grid = _chi_grid(NONCYCLIC, [division_poly_tower(NONCYCLIC, 3)[3][1]])
+        masked = complex(grid[mask].astype(np.float64).sum())
         assert abs(avg[0, 0] - masked) <= 1e-8
     assert spec.shape == (s.m, s.l)
 

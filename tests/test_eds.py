@@ -1,5 +1,6 @@
 """Sequence evaluators and the algebraic identities they must satisfy."""
 
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -228,8 +229,8 @@ def test_window_makes_no_evaluator_call(f5_r7_view, monkeypatch):
 
 
 def test_index_guard(f5_view):
-    # the ladder takes one step per bit of n and the x-only evaluator recurses
-    # once per bit; a fixed guard refuses indices past 2**512 in both
+    # the ladder and the x-only evaluator take one step per bit of n; a fixed
+    # guard refuses indices past 2**512 in both
     period = sequence_period(f5_view).total
     assert f5_view.psi(2**511) == f5_view.psi(2**511 % period)
     assert f5_view.psi(INDEX_LIMIT - 1) == f5_view.psi((INDEX_LIMIT - 1) % period)
@@ -278,6 +279,30 @@ def test_x_only_matches_full_evaluator(f5_view):
         f = x_only_psi(f5_view.curve, f5_view.point.x, n)
         expected = f if n % 2 else f * y % p
         assert f5_view.psi(n) == expected
+
+
+def test_x_only_deep_index_needs_no_recursion(f5_view):
+    n = (1 << 511) - 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        got = x_only_psi(f5_view.curve, f5_view.point.x, n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == f5_view.psi(n)  # odd n: psi_n = f_n(x)
+
+
+def test_x_only_values_frozen():
+    # f_n(x0) for n in [-50, 2000] on two curves, hashed from the recursive
+    # evaluator the index-listing walk replaced
+    vals = []
+    for p, a, b, x0 in ((1009, 11, 17, 1), (999_999_937, 5, 7, 123_456)):
+        curve = EllipticCurve(field(p), a, b)
+        vals += [x_only_psi(curve, x0, n) for n in range(-50, 2001)]
+    assert (
+        hashlib.sha256(",".join(map(str, vals)).encode()).hexdigest()
+        == "33fec9998575727860f7a0be1952a37102363346b1acee8ad2cd6be145499bb2"
+    )
 
 
 def test_x_only_works_at_two_torsion():

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from edschar import charsum, cli, harness
-from edschar.curve import EllipticCurve
+from edschar.curve import EllipticCurve, all_curves
 from edschar.field import PrimeField, field, is_probable_prime
 from edschar.harness import (
     SplitMix64,
@@ -186,17 +186,19 @@ def test_sweep_scan_records_golden():
 
 def test_sweep_weil_one_tower_per_ell(monkeypatch):
     calls = []
-    build = charsum.division_poly_tower
+    build = harness.division_poly_batch
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+    def counted(curves, n_max, fold=False):
+        calls.append((curves[0].p, len(curves), n_max))
+        return build(curves, n_max, fold)
 
-    monkeypatch.setattr(charsum, "division_poly_tower", counted)
+    monkeypatch.setattr(harness, "division_poly_batch", counted)
+    monkeypatch.setattr(charsum, "division_poly_tower", None)  # no one-row towers
     stats = harness.sweep_weil(5, 7)
-    # the grid of psi_3 psi_5 is the product of the psi_3 and psi_5 grids, so
-    # two towers per curve serve all three ell sets
-    assert len(calls) <= 2 * stats["curves"]
+    # one batch per prime, one row per curve, up to psi_5: the grid of
+    # psi_3 psi_5 is the product of the psi_3 and psi_5 grids
+    assert calls == [(5, 20, 5), (7, 42, 5)]
+    assert sum(rows for _, rows, _ in calls) == stats["curves"]
     # reference values, from building a separate tower for each ell set
     assert {k: stats[k] for k in ("curves", "spectra", "subgroup_checks", "bare_exceed")} == {
         "curves": 62,
@@ -207,6 +209,37 @@ def test_sweep_weil_one_tower_per_ell(monkeypatch):
     assert stats["failures"] == [] and stats["max_bare_excess"] == 0.0
     assert stats["max_ratio"] == pytest.approx(0.5669467095138409, rel=1e-12)
     assert stats["max_avg_gap"] < 1e-12
+
+
+def _stats_hash(stats: dict) -> str:
+    return hashlib.sha256(json.dumps(stats, sort_keys=True).encode()).hexdigest()
+
+
+def test_batched_oracle_sweeps_pinned():
+    # stats hashed from the per-curve towers that the batched tower replaced
+    eq = harness.sweep_oracle_equivalence(5, 23, n_max=20)
+    assert (eq["curves"], eq["values"], eq["skipped_curves"], eq["failures"]) == (
+        1445,
+        28900,
+        3,
+        [],
+    )
+    assert _stats_hash(eq) == "c9189161b8c1d8f402cc7130ed7e4e3dcf10895da904a79db625ac70ded8c47a"
+    weil = harness.sweep_weil(5, 13)
+    assert _stats_hash(weil) == "3d03bfe32362201c7a258b3bfd4626aedf696efc89035ed174abc7da55084ea9"
+
+
+def test_oracle_batches_hold_whole_a_values():
+    for p in (5, 19, 37):
+        batches = list(harness._curve_batches(p))
+        flat = [c for batch in batches for c in batch]
+        assert [(c.a, c.b) for c in flat] == [(c.a, c.b) for c in all_curves(field(p))]
+        for batch, nxt in zip(batches, batches[1:]):
+            assert batch[-1].a != nxt[0].a  # an A value never straddles two batches
+        assert all(
+            len(batch) <= harness.ORACLE_ROWS or len({c.a for c in batch}) == 1
+            for batch in batches
+        )
 
 
 # -- command payloads ----------------------------------------------------------------------
@@ -345,11 +378,37 @@ def test_cmd_verify_all_ok():
         "period",
         "weil",
     }
-    assert all(c["failures"] == 0 for c in out["checks"])
+    assert all(c["failures"] == 0 and c["status"] == "ok" for c in out["checks"])
     single = harness.cmd_verify(5, 1, 1, 0, 1, identity="shift", trials=10)
     assert [c["identity"] for c in single["checks"]] == ["shift"]
     with pytest.raises(ValueError):
         harness.cmd_verify(5, 1, 1, 0, 1, identity="nope")
+
+
+def test_cmd_verify_reports_guarded_checks_as_skipped(capsys):
+    # at a 9-digit prime the period check's 2r window and the Weil grid are
+    # past their guards; the three checks that do run still report
+    view = seeded_view(999_999_937, 0)
+    args = (view.curve.p, view.curve.a, view.curve.b, view.point.x, view.point.y)
+    out = harness.cmd_verify(*args, trials=20)
+    assert out["ok"] is True
+    assert {c["identity"]: c["status"] for c in out["checks"]} == {
+        "recurrence": "ok",
+        "shift": "ok",
+        "index-product": "ok",
+        "period": "skipped",
+        "weil": "skipped",
+    }
+    reasons = {c["identity"]: c.get("reason") for c in out["checks"]}
+    assert reasons["period"] == "character window guarded at 20000000 terms"
+    assert "group structure guarded" in reasons["weil"]
+    flags = ("--p", "--a", "--b", "--px", "--py")
+    argv = ["verify"] + [x for flag, v in zip(flags, args) for x in (flag, str(v))]
+    assert _run(argv + ["--trials", "20"]) == 0
+    capsys.readouterr()
+    # when every selected check is skipped there is no result: exit 1
+    assert _run(argv + ["--identity", "period"]) == 1
+    assert "character window guarded" in capsys.readouterr().err
 
 
 def test_cmd_scan_range_guard(tmp_path):

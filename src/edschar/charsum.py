@@ -9,6 +9,12 @@ envelopes R^(5/6) q^(1/12) log(q)^k, and brute-force checks Weil-type bounds
 |sum omega(P) chi(f(P))| <= 2 d sqrt(q) over the full group and subgroups,
 including the annihilator-averaging identity that reduces subgroup sums to
 full-group sums.
+
+The Weil checks evaluate chi(f(P)) on the (M, L) group grid of
+curve.group_grid, which is built by one walk of the generator combinations,
+checked pairwise distinct and cached on the curve, and take every sum from
+one ifft2 spectrum of that chi grid (a subgroup's from the spectrum of the
+grid masked to the subgroup).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import EllipticCurve, Point, group_structure
+from .curve import EllipticCurve, GroupStructure, Point, group_grid
 from .eds import EdsView, psi_window
 from .field import divisors
 from .symbolic import division_poly_tower, horner
@@ -92,17 +98,7 @@ def incomplete_sum(view: EdsView, n_terms: int) -> int:
     """S_P(N) = sum_{n<=N} chi(psi_n), exactly, using periodicity beyond R."""
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    if n_terms == 0:
-        return 0
-    length = view.window_length
-    if n_terms <= length:
-        return int(chi_window(view, n_terms)[:n_terms].sum(dtype=np.int64))
-    window = chi_window(view, length)
-    cycles, rest = divmod(n_terms, length)
-    total = cycles * int(window.sum(dtype=np.int64))
-    if rest:
-        total += int(window[:rest].sum(dtype=np.int64))
-    return total
+    return bias_report(view, n_terms).total if n_terms else 0
 
 
 @dataclass(frozen=True)
@@ -306,23 +302,6 @@ def _validate_ells(ells) -> tuple[int, ...]:
     return ells
 
 
-def _coordinate_grid(curve: EllipticCurve):
-    """x-coordinates of m*gen_m + l*gen_l on an (M, L) grid; (0,0) is infinity."""
-    if curve._grid is None:
-        s = group_structure(curve)
-        xs = np.zeros((s.m, s.l), dtype=np.int64)
-        col: Point | None = None
-        for li in range(s.l):
-            q = col
-            for mi in range(s.m):
-                if q is not None:
-                    xs[mi, li] = q.x
-                q = curve.add(q, s.gen_m)
-            col = curve.add(col, s.gen_l)
-        curve._grid = (s, xs)
-    return curve._grid
-
-
 def _ell_polys(curve: EllipticCurve, ells: tuple[int, ...]) -> list[np.ndarray]:
     """The coefficient arrays f_ell of psi_ell, ell in ells, from one tower."""
     tower = division_poly_tower(curve, max(ells))
@@ -330,9 +309,9 @@ def _ell_polys(curve: EllipticCurve, ells: tuple[int, ...]) -> list[np.ndarray]:
 
 
 def _chi_grid(curve: EllipticCurve, polys) -> np.ndarray:
-    """chi(f(P)) on the (M, L) grid, f = the product of the coefficient arrays
-    in polys (the f_ell of odd psi_ell); 0 at the infinity slot."""
-    s, xs = _coordinate_grid(curve)
+    """chi(f(P)) on the (M, L) group grid, f = the product of the coefficient
+    arrays in polys (the f_ell of odd psi_ell); 0 at the infinity slot."""
+    _, xs, _ = group_grid(curve)
     out = np.ones(xs.shape, dtype=np.int8)
     table = curve.field.chi_table()
     for f in polys:
@@ -341,40 +320,41 @@ def _chi_grid(curve: EllipticCurve, polys) -> np.ndarray:
     return out
 
 
+def _spectrum(grid: np.ndarray) -> np.ndarray:
+    """sum_P omega_{a,b}(P) grid[P] for every character (a, b): one ifft2."""
+    return np.fft.ifft2(grid.astype(np.float64)) * grid.size
+
+
 def weil_spectrum(curve: EllipticCurve, ells) -> np.ndarray:
     """sum_P omega_{a,b}(P) chi(f(P)) for all (a, b), as an (M, L) array."""
-    ells = _validate_ells(ells)
-    grid = _chi_grid(curve, _ell_polys(curve, ells)).astype(np.float64)
-    return np.fft.ifft2(grid) * grid.size
+    return _spectrum(_chi_grid(curve, _ell_polys(curve, _validate_ells(ells))))
 
 
 def _locate(curve: EllipticCurve, point: Point) -> tuple[int, int]:
     """Grid coordinates (m, l) of a point: point = m*gen_m + l*gen_l."""
-    s, _ = _coordinate_grid(curve)
-    q: Point | None = None
-    for li in range(s.l):
-        t = q
-        for mi in range(s.m):
-            if t == point:
-                return mi, li
-            t = curve.add(t, s.gen_m)
-        q = curve.add(q, s.gen_l)
-    raise AssertionError(f"{point} not found on the generator grid of {curve!r}")
+    _, xs, ys = group_grid(curve)
+    hits = np.argwhere((xs == point.x) & (ys == point.y))
+    if not len(hits):
+        raise AssertionError(f"{point} not found on the generator grid of {curve!r}")
+    return int(hits[0, 0]), int(hits[0, 1])
+
+
+def _annihilator(s: GroupStructure, mq: int, lq: int) -> tuple[np.ndarray, np.ndarray]:
+    """Characters (a, b) trivial on <mq*gen_m + lq*gen_l>, as two index arrays:
+    a*mq*L + b*lq*M = 0 (mod ML)."""
+    a_grid, b_grid = np.meshgrid(
+        np.arange(s.m, dtype=np.int64), np.arange(s.l, dtype=np.int64), indexing="ij"
+    )
+    return np.nonzero((a_grid * (mq * s.l) + b_grid * (lq * s.m)) % s.size == 0)
 
 
 def annihilator_characters(curve: EllipticCurve, point: Point | None) -> list[tuple[int, int]]:
     """Characters (a, b) trivial on <point>: a*m*L + b*l*M = 0 (mod ML)."""
-    s, _ = _coordinate_grid(curve)
+    s, _, _ = group_grid(curve)
     if point is None:
         return [(a, b) for a in range(s.m) for b in range(s.l)]
-    mq, lq = _locate(curve, point)
-    n = s.m * s.l
-    a_grid, b_grid = np.meshgrid(
-        np.arange(s.m, dtype=np.int64), np.arange(s.l, dtype=np.int64), indexing="ij"
-    )
-    ok = (a_grid * (mq * s.l) + b_grid * (lq * s.m)) % n == 0
-    pairs = np.argwhere(ok)
-    return [(int(a), int(b)) for a, b in pairs]
+    ta, tb = _annihilator(s, *_locate(curve, point))
+    return list(zip(ta.tolist(), tb.tolist()))
 
 
 def weil_sum_check(
@@ -387,61 +367,42 @@ def weil_sum_check(
 
     ells defines f = prod psi_ell (distinct odd indices >= 3), omega = (a, b)
     indexes the group character, and subgroup (a generator point, optional)
-    restricts the sum to <subgroup>.  For subgroup sums the report also
-    carries the gap of the annihilator-averaging identity
-    sum_{P in H} = mean over theta in Omega_H of the full-group sums.
+    restricts the sum to <subgroup>.  The full-group sum is read from the
+    ifft2 spectrum of the chi grid; a subgroup sum from the spectrum of that
+    grid masked to the multiples of the generator.  For subgroup sums the
+    report also carries the gap of the annihilator-averaging identity
+    sum_{P in H} = mean over theta in Omega_H of the full-group sums, and
+    |H| = ML / |Omega_H|.  Values carry spectrum_err_bound(ML).
     """
     ells = _validate_ells(ells)
-    s, _ = _coordinate_grid(curve)
+    s, _, _ = group_grid(curve)
     grid = _chi_grid(curve, _ell_polys(curve, ells))
     d = weil_degree(ells)
-    bound = 2.0 * d * math.sqrt(curve.p)
     a, b = omega[0] % s.m, omega[1] % s.l
-    phase = np.exp(
-        2j
-        * np.pi
-        * (
-            a * np.arange(s.m, dtype=np.float64)[:, None] / s.m
-            + b * np.arange(s.l, dtype=np.float64)[None, :] / s.l
-        )
-    )
+    spectrum = _spectrum(grid)
     desc = None
     gap = None
     if subgroup is None:
-        value = complex((grid * phase).sum())
-        nonzero = int(np.count_nonzero(grid))
+        value = complex(spectrum[a, b])
     else:
         curve.validate_point(subgroup)
         mq, lq = _locate(curve, subgroup)
-        order = math.lcm(
-            s.m // math.gcd(s.m, mq) if s.m > 1 else 1,
-            s.l // math.gcd(s.l, lq) if s.l > 1 else 1,
-        )
-        ms = np.arange(order, dtype=np.int64) * mq % s.m
-        ls = np.arange(order, dtype=np.int64) * lq % s.l
-        sub_vals = grid[ms, ls].astype(np.float64)
-        value = complex((sub_vals * phase[ms, ls]).sum())
-        nonzero = int(np.count_nonzero(sub_vals))
-        annihilators = annihilator_characters(curve, subgroup)
-        spectrum = weil_spectrum(curve, ells)
-        avg = np.mean(
-            [spectrum[(a + ta) % s.m, (b + tb) % s.l] for ta, tb in annihilators]
-        )
-        gap = abs(value - complex(avg))
-        desc = {
-            "x": subgroup.x,
-            "y": subgroup.y,
-            "order": order,
-            "index": s.size // order,
-        }
+        ta, tb = _annihilator(s, mq, lq)
+        order = s.size // len(ta)
+        k = np.arange(order, dtype=np.int64)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[k * mq % s.m, k * lq % s.l] = True
+        value = complex(_spectrum(grid * mask)[a, b])
+        gap = abs(value - complex(spectrum[(a + ta) % s.m, (b + tb) % s.l].mean()))
+        desc = {"x": subgroup.x, "y": subgroup.y, "order": order, "index": len(ta)}
     return WeilCheckReport(
         sum_modulus=abs(value),
-        bound=bound,
+        bound=2.0 * d * math.sqrt(curve.p),
         degree=d,
         omega_index=(a, b),
         subgroup=desc,
         value=value,
-        err_bound=max(nonzero, 1) * TERM_ERR,
+        err_bound=spectrum_err_bound(s.size),
         averaging_gap=gap,
     )
 

@@ -14,7 +14,13 @@ pass over the affine points in (x, y)-lex order that stops as soon as the
 running maximum order M is certified as the exponent: at once when M = N,
 otherwise at the first point that yields an order-L element independent of
 the order-M generator, since the two then generate all N = M*L points.
-Groups with N <= 20 000 are also checked exhaustively.
+
+The group grid holds the coordinates of every combination i*gen_m + j*gen_l
+in two (M, L) int64 arrays, built by one walk of the M*L combinations and
+checked pairwise distinct by counting the distinct codes x*p + y, so the
+generators provably give every point once.  group_structure builds, checks
+and caches it on the curve for N <= 20 000; group_grid does so on first use
+for larger groups.  The Weil-sum checks of charsum read it from there.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ ENUM_ORDER_MAX = 10_000  # counting strategy switchover
 ENUMERATION_MAX = 1_000_000  # hard guard for materializing all points
 ORDER_MAX = 1_000_000_000  # hard guard for any order computation
 STRUCTURE_MAX = 1_000_000  # hard guard for group-structure decomposition
+GRID_CHECK_MAX = 20_000  # group_structure checks every group up to this size
 
 
 @dataclass(frozen=True)
@@ -360,6 +367,9 @@ def group_structure(curve: EllipticCurve) -> GroupStructure:
     point independent of gen_m generates with it a subgroup of size M'*L' = N,
     so E = Z/M' x Z/L' and M' is the exponent.  With L' = 1 that happens at
     once.  Most curves are certified after a few points instead of all N.
+    Groups with N <= GRID_CHECK_MAX are then checked exhaustively: the
+    (M, L) coordinate grid of group_grid is built, checked distinct and
+    cached on the curve.
     """
     if curve._structure is not None:
         return curve._structure
@@ -396,24 +406,46 @@ def group_structure(curve: EllipticCurve) -> GroupStructure:
     if l > 1 and gen_l is None:
         raise RuntimeError(f"no independent order-{l} generator found on {curve!r}")
     structure = GroupStructure(m=m, l=l, gen_m=gen_m, gen_l=gen_l, size=n)
-    if n <= 20_000:
-        _verify_structure_exhaustively(curve, structure)
+    if n <= GRID_CHECK_MAX:
+        curve._grid = _build_grid(curve, structure)
     curve._structure = structure
     return structure
 
 
-def _verify_structure_exhaustively(curve: EllipticCurve, s: GroupStructure) -> None:
-    """Check that the M*L combinations m*gen_m + l*gen_l are pairwise distinct."""
-    seen: set[Point | None] = set()
-    row_base: Point | None = None
-    for _ in range(s.m):
-        q = row_base
-        for _ in range(s.l):
-            seen.add(q)
-            q = curve.add(q, s.gen_l)
-        row_base = curve.add(row_base, s.gen_m)
-    if len(seen) != s.size:
+def _build_grid(curve: EllipticCurve, s: GroupStructure) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of i*gen_m + j*gen_l at cell (i, j) of two (M, L) int64 arrays,
+    from one walk of the M*L combinations; infinity, at (0, 0), is stored as
+    (-1, -1).  Raises if two cells hold the same point (codes x*p + y, with
+    -p - 1 for infinity, are not all distinct)."""
+    xs: list[int] = []
+    ys: list[int] = []
+    col: Point | None = None
+    for _ in range(s.l):
+        q = col
+        for _ in range(s.m):
+            xs.append(-1 if q is None else q.x)
+            ys.append(-1 if q is None else q.y)
+            q = curve.add(q, s.gen_m)
+        col = curve.add(col, s.gen_l)
+    # walked column by column; stored row-major as (M, L)
+    x = np.array(xs, dtype=np.int64).reshape(s.l, s.m).T.copy()
+    y = np.array(ys, dtype=np.int64).reshape(s.l, s.m).T.copy()
+    # distinct codes counted in a set: np.unique imports numpy.ma, and both
+    # it and np.sort raised the peak RSS of a scan (by about 3 and 1.4 MiB)
+    if len(set((x * curve.p + y).ravel().tolist())) != s.size:
         raise AssertionError(f"generator combinations collide on {curve!r}")
+    return x, y
+
+
+def group_grid(curve: EllipticCurve) -> tuple[GroupStructure, np.ndarray, np.ndarray]:
+    """(structure, xs, ys): the coordinates of i*gen_m + j*gen_l at (i, j),
+    infinity at (0, 0) as (-1, -1).  group_structure builds and checks the
+    grid for N <= GRID_CHECK_MAX; larger groups build and check it here on
+    first use.  Either way it is cached on the curve."""
+    s = group_structure(curve)
+    if curve._grid is None:
+        curve._grid = _build_grid(curve, s)
+    return (s, *curve._grid)
 
 
 def max_order_point(curve: EllipticCurve) -> tuple[Point, int]:

@@ -161,30 +161,6 @@ class PrimeField:
     def __hash__(self) -> int:
         return hash(("PrimeField", self.p))
 
-    # -- basic arithmetic on canonical ints ---------------------------------
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return x * y % self.p
-
-    def neg(self, x: int) -> int:
-        return -x % self.p
-
-    def inv(self, x: int) -> int:
-        if x % self.p == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
-        return pow(x, -1, self.p)
-
-    def pow(self, x: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("exponent must be nonnegative; invert explicitly")
-        return pow(x, e, self.p)
-
     # -- quadratic character -------------------------------------------------
 
     def chi(self, x: int) -> int:

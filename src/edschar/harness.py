@@ -43,6 +43,7 @@ from .rng import SplitMix64, stream
 from .symbolic import division_poly_batch, psi_batch
 
 SCHEMA_VERSION = "1"
+THREADS_MAX = 64  # scan worker processes; each is forked at the pool's first submit
 
 def random_curve(fld: PrimeField, rng: SplitMix64) -> EllipticCurve:
     p = fld.p
@@ -447,9 +448,10 @@ def sweep_weil(
         tower = division_poly_batch(list(all_curves(field(p))), 5)
         for curve, f3, f5 in zip(all_curves(field(p)), tower[3][1], tower[5][1]):
             stats["curves"] += 1
+            # group_structure builds and caches the group grid, which
+            # _chi_grid reads, so each curve's group is walked once
             s = group_structure(curve)
-            size = s.size
-            fft_err = charsum.spectrum_err_bound(size)
+            fft_err = charsum.spectrum_err_bound(s.size)
             omega_groups = [
                 g
                 for g in charsum.small_character_subgroups(s.m, s.l, index_max)
@@ -463,7 +465,7 @@ def sweep_weil(
             for ells, grid in (((3,), g3), ((5,), g5), ((3, 5), g3 * g5)):
                 d = charsum.weil_degree(ells)
                 bound = 2 * d * sqrt_p
-                spec = np.fft.ifft2(grid.astype(np.float64)) * size
+                spec = charsum._spectrum(grid)
                 mods = np.abs(spec)
                 stats["spectra"] += 1
                 top = float(mods.max())
@@ -475,7 +477,7 @@ def sweep_weil(
                 if top > bound + fft_err:
                     stats["failures"].append({**failure, "max": top})
                 for omega_h, mask in zip(omega_groups, masks):
-                    sub = np.fft.ifft2(grid * mask) * size
+                    sub = charsum._spectrum(grid * mask)
                     avg = charsum.averaged_spectrum(spec, omega_h)
                     gap = float(np.abs(sub - avg).max())
                     scale = max(1.0, float(np.abs(sub).max()))
@@ -545,6 +547,9 @@ def _scan_worker(args: tuple[int, int]) -> dict:
 
 def sweep_scan(p_min: int, p_max: int, seed: int = 0, threads: int = 1) -> list[dict]:
     primes = primes_in(p_min, p_max)
+    # the fork start method launches every worker at the first submit, so
+    # the pool is never larger than the number of primes
+    threads = min(threads, len(primes))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(_scan_worker, [(p, seed) for p in primes], chunksize=8))
@@ -797,6 +802,8 @@ def cmd_scan(
 ) -> list[dict]:
     if p_min < 5 or p_max < p_min:
         raise ValueError("need 5 <= p_min <= p_max")
+    if threads > THREADS_MAX:
+        raise ValueError(f"worker count guarded at threads <= {THREADS_MAX}")
     records = sweep_scan(p_min, p_max, seed=seed, threads=threads)
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:

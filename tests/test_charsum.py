@@ -435,6 +435,22 @@ def test_weil_subgroup_direct_and_averaging():
     assert rep.sum_modulus <= rep.bound  # the bound holds on subgroups too
 
 
+def test_weil_subgroup_of_large_index_matches_oracle():
+    # Z/252 x Z/4: Q = 6 gen_m + gen_l has order lcm(42, 4) = 84, index 12
+    curve = EllipticCurve(field(1009), 1, 2)
+    s = group_structure(curve)
+    assert (s.m, s.l, s.size) == (252, 4, 1008)
+    gen = curve.add(curve.mul(6, s.gen_m), s.gen_l)
+    mults = [(6 * k % s.m, k % s.l) for k in range(84)]
+    for omega in [(0, 0), (5, 1), (251, 3)]:
+        rep = weil_sum_check(curve, (3,), omega, subgroup=gen)
+        assert rep.subgroup["order"] == 84 and rep.subgroup["index"] == 12
+        assert rep.err_bound == spectrum_err_bound(s.size)
+        want = _oracle_weil(curve, (3,), omega, mults=mults)
+        assert abs(rep.value - want) <= rep.err_bound
+        assert rep.averaging_gap <= 1e-8 * max(1.0, rep.sum_modulus)
+
+
 def test_annihilator_counts():
     s = group_structure(E13)
     n = s.m * s.l

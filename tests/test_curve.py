@@ -12,6 +12,7 @@ from edschar.curve import (
     all_curves,
     curve_order,
     enumerate_points,
+    group_grid,
     group_structure,
     max_order_point,
     point_order,
@@ -240,6 +241,44 @@ def test_group_structure_properties_exhaustive_f11():
                     q = curve.add(q, s.gen_m)
                 row = curve.add(row, s.gen_l)
             assert combos == set(enumerate_points(curve))
+
+
+def test_group_grid_cells_are_the_generator_combinations():
+    for p in primes_in(5, 13):
+        for curve in all_curves(field(p)):
+            s, xs, ys = group_grid(curve)
+            assert xs.shape == ys.shape == (s.m, s.l)
+            for i in range(s.m):
+                for j in range(s.l):
+                    q = curve.add(curve.mul(i, s.gen_m), curve.mul(j, s.gen_l))
+                    want = (-1, -1) if q is None else (q.x, q.y)
+                    assert (int(xs[i, j]), int(ys[i, j])) == want
+
+
+def test_group_grid_collision_raises():
+    # Z/4 x Z/2 with gen_l = 2 gen_m, which lies in <gen_m>
+    curve = EllipticCurve(field(5), -1, 0)
+    s = group_structure(curve)
+    curve._structure = GroupStructure(
+        m=4, l=2, gen_m=s.gen_m, gen_l=curve.mul(2, s.gen_m), size=8
+    )
+    curve._grid = None
+    with pytest.raises(AssertionError, match="generator combinations collide"):
+        group_grid(curve)
+
+
+def test_group_grid_checked_in_group_structure_or_on_first_use():
+    small = EllipticCurve(field(1009), 1, 2)
+    group_structure(small)
+    assert small._grid is not None  # N = 1008: checked inside group_structure
+    large = EllipticCurve(field(30_011), 1, 2)
+    s = group_structure(large)
+    assert s.size > curve_module.GRID_CHECK_MAX and large._grid is None
+    s2, xs, ys = group_grid(large)
+    assert s2 is s and large._grid is not None
+    for i, j in [(1, 0), (s.m - 1, s.l - 1), (s.m // 2, 0)]:
+        q = large.add(large.mul(i, s.gen_m), large.mul(j, s.gen_l))
+        assert (int(xs[i, j]), int(ys[i, j])) == (q.x, q.y)
 
 
 def test_full_two_torsion_curve_has_even_l():

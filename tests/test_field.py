@@ -42,49 +42,6 @@ def test_field_cache_returns_same_instance():
     assert field(13) == PrimeField(13)
 
 
-# -- arithmetic (frozen small-number oracles) -------------------------------------
-
-
-def test_arithmetic_mod_5():
-    assert F5.add(4, 3) == 2
-    assert F5.sub(1, 3) == 3
-    assert F5.mul(4, 4) == 1
-    assert F5.neg(2) == 3
-    assert F5.inv(3) == 2
-    assert F5.pow(2, 4) == 1
-    assert F5.pow(3, 2) == 4
-
-
-def test_pow_zero_exponent_is_one():
-    for x in (0, 1, 2, 3, 4):
-        assert F5.pow(x, 0) == 1
-
-
-def test_pow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        F5.pow(2, -1)
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        F5.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        F5.inv(10)  # 10 = 0 mod 5
-
-
-def test_inverse_law_exhaustive_small():
-    for p in (5, 7, 11, 13):
-        f = field(p)
-        for x in range(1, p):
-            assert f.mul(x, f.inv(x)) == 1
-
-
-def test_fermat_little_theorem_exhaustive():
-    p = 101
-    f = field(p)
-    assert all(f.pow(x, p - 1) == 1 for x in range(1, p))
-
-
 # -- quadratic character -----------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from edschar import charsum, cli, harness
+from edschar import curve as curve_module
 from edschar.curve import EllipticCurve, all_curves
 from edschar.field import PrimeField, field, is_probable_prime
 from edschar.harness import (
@@ -211,6 +212,19 @@ def test_sweep_weil_one_tower_per_ell(monkeypatch):
     assert stats["max_avg_gap"] < 1e-12
 
 
+def test_sweep_weil_walks_each_group_once(monkeypatch):
+    walks = []
+    build = curve_module._build_grid
+
+    def counted(curve, s):
+        walks.append((curve.p, curve.a, curve.b))
+        return build(curve, s)
+
+    monkeypatch.setattr(curve_module, "_build_grid", counted)
+    stats = harness.sweep_weil(5, 7)
+    assert len(walks) == len(set(walks)) == stats["curves"] == 62
+
+
 def _stats_hash(stats: dict) -> str:
     return hashlib.sha256(json.dumps(stats, sort_keys=True).encode()).hexdigest()
 
@@ -385,6 +399,20 @@ def test_cmd_verify_all_ok():
         harness.cmd_verify(5, 1, 1, 0, 1, identity="nope")
 
 
+def test_cmd_verify_weil_builds_two_towers(monkeypatch):
+    calls = []
+    build = charsum.division_poly_tower
+
+    def counted(curve, n_max, fold=False):
+        calls.append(n_max)
+        return build(curve, n_max, fold)
+
+    monkeypatch.setattr(charsum, "division_poly_tower", counted)
+    out = harness.cmd_verify(1009, 11, 17, 1, 188, identity="weil", ells=(3, 5))
+    assert out["ok"] is True
+    assert len(calls) <= 2
+
+
 def test_cmd_verify_reports_guarded_checks_as_skipped(capsys):
     # at a 9-digit prime the period check's 2r window and the Weil grid are
     # past their guards; the three checks that do run still report
@@ -421,6 +449,37 @@ def test_cmd_scan_range_guard(tmp_path):
     lines = out_file.read_text().splitlines()
     assert len(lines) == len(records) == 3  # primes 5, 7, 11
     assert [json.loads(line)["curve"]["p"] for line in lines] == [5, 7, 11]
+
+
+def test_scan_worker_count_guarded_and_capped(monkeypatch, capsys):
+    # a stand-in pool that records its size and maps in-process: no process
+    # is ever started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    records = harness.cmd_scan(5, 12, threads=harness.THREADS_MAX)
+    assert sizes == [3] and len(records) == 3  # primes 5, 7, 11
+    assert [strip_ts(r) for r in records] == [strip_ts(r) for r in sweep_scan(5, 12)]
+    with pytest.raises(ValueError, match="worker count guarded"):
+        harness.cmd_scan(5, 12, threads=harness.THREADS_MAX + 1)
+    argv = ["scan", "--p-min", "5", "--p-max", "12", "--threads", str(harness.THREADS_MAX + 1)]
+    assert _run(argv) == 1
+    assert "worker count guarded" in capsys.readouterr().err
+    sweep_scan(5, 5, threads=4)  # one prime: no pool at all
+    assert sizes == [3]
 
 
 # -- CLI exit codes and output --------------------------------------------------------------

@@ -70,13 +70,7 @@ def chi_window(view: EdsView, n_terms: int) -> np.ndarray:
         return cached[:n_terms]
     if n_terms > WINDOW_MAX:
         raise ValueError(f"character window guarded at {WINDOW_MAX} terms")
-    fld = view.curve.field
-    w = psi_window(view, n_terms)
-    if fld.p <= 1 << 22:
-        out = fld.chi_table()[np.array(w[1:], dtype=np.int64)]
-    else:
-        chi = fld.chi
-        out = np.fromiter((chi(v) for v in w[1:]), dtype=np.int8, count=n_terms)
+    out = view.curve.field.chi_array(psi_window(view, n_terms)[1:])
     # read-only, so that a caller writing into a returned slice raises
     # instead of corrupting the cached window
     out.flags.writeable = False
@@ -201,13 +195,7 @@ def order_d_exponents(view: EdsView, d: int, n_terms: int) -> np.ndarray:
     cached_d, cached = _exponent_cache.get(view, (None, None))
     if cached_d == d and len(cached) >= n_terms:
         return cached[:n_terms]
-    fld = view.curve.field
-    w = psi_window(view, n_terms)
-    exp = fld.dchar_exponent
-    out = np.empty(n_terms, dtype=np.int64)
-    for i in range(n_terms):
-        j = exp(w[i + 1], d)
-        out[i] = -1 if j is None else j
+    out = view.curve.field.dchar_exponent_array(psi_window(view, n_terms)[1:], d)
     out.flags.writeable = False
     _exponent_cache[view] = (d, out)
     return out

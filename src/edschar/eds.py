@@ -19,7 +19,9 @@ Three evaluation strategies are provided.  :class:`PsiEvaluator` walks an
 8-term block of consecutive values down the bits of n with the halving
 recurrences (one step per bit, constant memory, no memo and no recursion;
 usable for |n| < 2**512).  :func:`psi_window` applies the same recurrences
-bottom-up to build psi_0 .. psi_N, dividing only by psi_2.  The stream
+bottom-up to build psi_0 .. psi_N as a numpy array, one whole level of
+indices per step, dividing only by psi_2 (int64 when (p - 1)^2 < 2^63,
+object dtype above).  The stream
 :func:`psi_sequence` advances one index at a time with the four-term recurrence
 
     psi_{n+2} psi_{n-2} = psi_{n+1} psi_{n-1} psi_2^2 - psi_3 psi_n^2,
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from .curve import EllipticCurve, Point, _hasse_interval, point_order
 from .field import factorize
@@ -224,24 +228,57 @@ class EdsView:
         return self.evaluator.psi(n)
 
 
-def psi_window(view: EdsView, n_max: int) -> list[int]:
+def _halve(a, b, c, d, e, p: int, inv2: int):
+    """(psi_{2m}, psi_{2m+1}) from psi_{m-2}, .., psi_{m+2}: the halving
+    formulas, on ints or on numpy arrays of the same length.  Every product
+    is reduced below p**2 before the next, so int64 arrays with
+    (p - 1)**2 < 2**63 cannot overflow."""
+    even = c * ((e * b % p * b - a * d % p * d) % p) % p * inv2 % p
+    odd = (e * c % p * c % p * c - b * d % p * d % p * d) % p
+    return even, odd
+
+
+# levels m below this run on Python ints: numpy's per-call overhead loses on
+# the short windows that the exhaustive small-field sweeps build by the
+# hundred thousand
+SCALAR_LEVELS = 64
+
+
+def psi_window(view: EdsView, n_max: int) -> np.ndarray:
     """[psi_0, psi_1, ..., psi_n_max] by the halving recurrences, bottom-up.
 
     Level m >= 2 turns psi_{m-2} .. psi_{m+2} into psi_{2m} and psi_{2m+1}
-    (level 2 rewrites psi_4 with itself); since m + 2 < 2m for m >= 3, each
-    level reads only entries already built.  The only division is by psi_2,
-    so zeros of the sequence need no special case.
+    (level 2 rewrites psi_4 with itself).  Levels m < SCALAR_LEVELS run one
+    at a time on ints; above that, all m in [lo, min(2 lo - 3, n_max // 2)]
+    run as one array step, because m + 2 < 2 lo means every input was built
+    by an earlier step.  The only division is by psi_2, so zeros of the
+    sequence need no special case.
+
+    The dtype is int64 when (p - 1)**2 < 2**63 and object (Python ints)
+    above that; the values are canonical residues either way.
     """
     ev = view.evaluator
     p = ev.p
     inv2 = ev._inv_psi2
-    w = [0, 1, ev.psi2, ev.psi3, ev.psi4] + [0] * (n_max - 3)
-    for m in range(2, (n_max >> 1) + 1):
-        a, b, c, d, e = w[m - 2 : m + 3]
-        w[2 * m] = c * (e * b % p * b - a * d % p * d) % p * inv2 % p
-        w[2 * m + 1] = (e * c % p * c % p * c - b * d % p * d % p * d) % p
-    del w[max(n_max + 1, 0) :]  # the last level may build psi_{n_max+1}
-    return w
+    dtype = np.int64 if (p - 1) ** 2 < 1 << 63 else object
+    half = n_max >> 1
+    cut = min(half + 1, SCALAR_LEVELS)
+    w = [0, 1, ev.psi2, ev.psi3, ev.psi4] + [0] * (2 * cut - 4)
+    for m in range(2, cut):
+        w[2 * m], w[2 * m + 1] = _halve(*w[m - 2 : m + 3], p, inv2)
+    if half < SCALAR_LEVELS:
+        return np.array(w[: max(n_max + 1, 0)], dtype=dtype)
+    # the last level may build psi_{n_max+1}
+    out = np.empty(2 * half + 2, dtype=dtype)
+    out[: 2 * cut] = w[: 2 * cut]
+    lo = cut
+    while lo <= half:
+        hi = min(2 * lo - 3, half)
+        even, odd = _halve(*(out[lo + j : hi + j + 1] for j in range(-2, 3)), p, inv2)
+        out[2 * lo : 2 * hi + 1 : 2] = even
+        out[2 * lo + 1 : 2 * hi + 2 : 2] = odd
+        lo = hi + 1
+    return out[: n_max + 1]
 
 
 def psi_sequence(view: EdsView, n_max: int) -> Iterator[int]:

@@ -24,7 +24,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 # Quadratic-character and discrete-log lookup tables are built lazily for
 # moduli up to this bound; above it chi falls back to an Euler-criterion pow
-# per call.
+# per call, and arrays of characters to one square-and-multiply (pow_array).
 _CHI_TABLE_MAX = 1 << 22
 
 
@@ -187,6 +187,14 @@ class PrimeField:
             self._chi_table = table
         return self._chi_table
 
+    def chi_array(self, values: np.ndarray) -> np.ndarray:
+        """chi over an array of canonical residues, as int8: a chi_table
+        gather for p <= 2**22, else (-1)^j from dchar_exponent_array(values, 2)."""
+        if self.p <= _CHI_TABLE_MAX:
+            return self.chi_table()[values]
+        exps = self.dchar_exponent_array(values, 2)
+        return np.where(exps < 0, 0, 1 - 2 * exps).astype(np.int8)
+
     def sqrt(self, x: int) -> int | None:
         """A square root of x in F_p (the smaller of the pair), or None.
 
@@ -254,22 +262,30 @@ class PrimeField:
         return self._primitive_root
 
     def dlog_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log, pow) int64 tables for the smallest primitive root g (small p only).
+        """(log, pow) int32 tables for the smallest primitive root g (small p only).
 
         log[x] = ind_g(x) for x != 0 and log[0] = -1; pow[i] = g^i for i < p - 1.
+        Built baby-step/giant-step: g^i and (g^B)^k for i, k < B = ceil(sqrt(p - 1))
+        one Python step each, then pow[kB + i] = (g^B)^k g^i as one outer product.
         """
         if self._dlog_tables is None:
             p = self.p
             if p > _CHI_TABLE_MAX:
                 raise ValueError(f"discrete-log tables guarded at p <= {_CHI_TABLE_MAX}")
             g = self.primitive_root()
-            pow_arr = np.empty(p - 1, dtype=np.int64)
-            log_arr = np.full(p, -1, dtype=np.int64)
-            v = 1
-            for i in range(p - 1):
-                pow_arr[i] = v
-                log_arr[v] = i
-                v = v * g % p
+            n = p - 1
+            steps = math.isqrt(n - 1) + 1  # steps**2 >= n
+            baby = [1] * steps
+            for i in range(1, steps):
+                baby[i] = baby[i - 1] * g % p
+            giant = [1] * steps
+            g_steps = baby[-1] * g % p
+            for k in range(1, steps):
+                giant[k] = giant[k - 1] * g_steps % p
+            outer = np.outer(np.array(giant, dtype=np.int64), np.array(baby, dtype=np.int64))
+            pow_arr = (outer % p).ravel()[:n].astype(np.int32)
+            log_arr = np.full(p, -1, dtype=np.int32)
+            log_arr[pow_arr] = np.arange(n, dtype=np.int32)
             self._dlog_tables = (log_arr, pow_arr)
         return self._dlog_tables
 
@@ -303,6 +319,30 @@ class PrimeField:
             return None
         return table[pow(x, (self.p - 1) // d, self.p)]
 
+    def dchar_exponent_array(self, values: np.ndarray, d: int) -> np.ndarray:
+        """dchar_exponent over an array of canonical residues, as int64 with
+        -1 at zeros.
+
+        p <= 2**22: ind_g(x) mod d gathered from dlog_tables.  Otherwise, on
+        int64 values: x^((p-1)/d) by one square-and-multiply over the array,
+        matched against the d roots of unity.  Object arrays (p too large for
+        int64 products) go term by term.
+        """
+        table = self._dchar_table(d)
+        if self.p <= _CHI_TABLE_MAX:
+            logs = self.dlog_tables()[0][values]
+            return np.where(logs < 0, -1, logs % d).astype(np.int64)
+        if values.dtype == object:
+            exp = self.dchar_exponent
+            return np.fromiter(
+                (-1 if x == 0 else exp(x, d) for x in values), dtype=np.int64, count=len(values)
+            )
+        roots, exps = (np.array(col, dtype=np.int64) for col in zip(*sorted(table.items())))
+        proj = pow_array(values, (self.p - 1) // d, self.p)
+        out = exps[np.searchsorted(roots, proj).clip(max=d - 1)]
+        out[proj == 0] = -1
+        return out
+
     def order_d_character(self, x: int, d: int) -> complex:
         """Multiplicative character of exact order d at x (0 at x = 0).
 
@@ -314,6 +354,20 @@ class PrimeField:
         if 2 * j == d:
             return complex(-1.0)
         return cmath.exp(2j * cmath.pi * j / d)
+
+
+def pow_array(values: np.ndarray, e: int, p: int) -> np.ndarray:
+    """values^e mod p elementwise for an int64 array of residues, by one
+    square-and-multiply over the whole array; needs (p - 1)**2 < 2**63."""
+    out = np.ones_like(values)
+    base = values.copy()
+    while e:
+        if e & 1:
+            out = out * base % p
+        e >>= 1
+        if e:
+            base = base * base % p
+    return out
 
 
 _field_cache: dict[int, PrimeField] = {}

@@ -151,8 +151,7 @@ def _check_view_small(view: EdsView, s_max: int, stats: dict, deep_period: bool)
     fld = view.curve.field
     p, r = fld.p, view.r
     wlen = (s_max + 1) * r + 3
-    w = psi_window(view, wlen)
-    arr = np.array(w[1:], dtype=np.int64)  # arr[k-1] = psi_k
+    arr = psi_window(view, wlen)[1:]  # arr[k-1] = psi_k
 
     # zeros exactly at the multiples of the point order
     zero_idx = np.flatnonzero(arr == 0) + 1
@@ -160,17 +159,20 @@ def _check_view_small(view: EdsView, s_max: int, stats: dict, deep_period: bool)
         stats["failures"].append({"view": repr(view), "check": "zero-pattern"})
         return
 
-    # shift blocks: psi_{sr+k} = a^(ks) b^(s^2) psi_k, via discrete logs
+    # shift blocks: psi_{sr+k} = a^(ks) b^(s^2) psi_k, via discrete logs, for
+    # every s <= s_max at once (row s - 1 is block s)
     log_arr, pow_arr = fld.dlog_tables()
     la, lb = int(log_arr[view.mult_a]), int(log_arr[view.mult_b])
     ks = np.arange(1, r + 1, dtype=np.int64)
-    base = arr[:r]
-    for s in range(1, s_max + 1):
-        mult = pow_arr[(la * s * ks + lb * s * s) % (p - 1)]
-        if not np.array_equal(arr[s * r : s * r + r], mult * base % p):
-            stats["failures"].append({"view": repr(view), "check": "shift", "s": s})
-            return
-        stats["shift_checks"] += r
+    ss = np.arange(1, s_max + 1, dtype=np.int64)[:, None]
+    mult = pow_arr[(la * ss * ks + lb * ss * ss) % (p - 1)]
+    blocks = arr[r : (s_max + 1) * r].reshape(s_max, r)
+    bad = np.flatnonzero((blocks != mult * arr[:r] % p).any(axis=1))
+    if len(bad):
+        stats["shift_checks"] += int(bad[0]) * r
+        stats["failures"].append({"view": repr(view), "check": "shift", "s": int(bad[0]) + 1})
+        return
+    stats["shift_checks"] += s_max * r
 
     # quadratic character window: minimal period is r or 2r, matching the
     # prediction from the character values of the shift constants
@@ -200,12 +202,13 @@ def _check_view_small(view: EdsView, s_max: int, stats: dict, deep_period: bool)
         sp = sequence_period(view, spot_checks=20, seed=p)
         s0 = sp.shift_steps
         deep = psi_window(view, s0 * r + 3)
-        for s in range(1, s0):
-            if deep[1 + s * r] == deep[1] and deep[2 + s * r] == deep[2]:
-                stats["failures"].append(
-                    {"view": repr(view), "check": "period-minimality", "s": s}
-                )
-                return
+        s = np.arange(1, s0)
+        early = s[(deep[1 + s * r] == deep[1]) & (deep[2 + s * r] == deep[2])]
+        if len(early):
+            stats["failures"].append(
+                {"view": repr(view), "check": "period-minimality", "s": int(early[0])}
+            )
+            return
 
 
 def sweep_small_fields(
@@ -350,29 +353,34 @@ def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) 
                 continue
             curves = [v.curve for v in views]
             tower = division_poly_batch(curves, n_max, fold=True)
-            sym_rows = psi_batch(curves, [v.point for v in views], tower).tolist()
+            sym_rows = psi_batch(curves, [v.point for v in views], tower)
             del tower  # the next batch's tower is built without this one alive
             for view, sym in zip(views, sym_rows):
                 stats["curves"] += 1
-                curve = view.curve
-                w = psi_window(view, n_max)
-                stream_vals = list(psi_sequence(view, n_max))
-                for n in range(1, n_max + 1):
-                    dbl = view.psi(n)
-                    if not (sym[n] == dbl == w[n] == stream_vals[n - 1]):
-                        stats["failures"].append(
-                            {
-                                "p": p,
-                                "a": curve.a,
-                                "b": curve.b,
-                                "n": n,
-                                "symbolic": sym[n],
-                                "doubling": dbl,
-                                "window": w[n],
-                                "stream": stream_vals[n - 1],
-                            }
-                        )
-                    stats["values"] += 1
+                # rows: symbolic, doubling, window, stream; column n - 1 = psi_n
+                vals = np.array(
+                    [
+                        sym[1:],
+                        [view.psi(n) for n in range(1, n_max + 1)],
+                        psi_window(view, n_max)[1:],
+                        list(psi_sequence(view, n_max)),
+                    ]
+                )
+                for i in np.flatnonzero((vals != vals[0]).any(axis=0)).tolist():
+                    sym_n, dbl, win, stream = vals[:, i].tolist()
+                    stats["failures"].append(
+                        {
+                            "p": p,
+                            "a": view.curve.a,
+                            "b": view.curve.b,
+                            "n": i + 1,
+                            "symbolic": sym_n,
+                            "doubling": dbl,
+                            "window": win,
+                            "stream": stream,
+                        }
+                    )
+                stats["values"] += n_max
     return stats
 
 
@@ -393,11 +401,12 @@ def sweep_oracle_random(
         stats["curves"] += 1
         curve, pt = view.curve, view.point
         w = psi_window(view, n_max)
-        bad = next((n for n in range(1, n_max + 1) if view.psi(n) != w[n]), None)
+        ladder = np.array([view.psi(n) for n in range(1, n_max + 1)], dtype=w.dtype)
+        bad = np.flatnonzero(ladder != w[1:])
         stats["values"] += n_max
-        if bad is not None:
+        if len(bad):
             stats["failures"].append(
-                {"p": p, "a": curve.a, "b": curve.b, "n": bad, "check": "window"}
+                {"p": p, "a": curve.a, "b": curve.b, "n": int(bad[0]) + 1, "check": "window"}
             )
         for _ in range(16):
             n = rng.randrange(1, n_max + 1)
@@ -867,6 +876,22 @@ def cmd_bench(seed: int = 0) -> dict:
         "seconds": chi_s,
         "sum": int(window.sum(dtype=np.int64)),
         "spot_ok": spot_ok,
+    }
+
+    # order-d sums (d = 4) over the d*r exponent window at a prime near 2*10^4,
+    # complete first so that the incomplete sum reads a prefix of its window
+    p_d, d = 20_021, 4
+    view_d = seeded_view(p_d, seed)
+    t0 = time.perf_counter()
+    comp = charsum.order_d_sums(view_d, d, "complete", 1)
+    inc = charsum.order_d_sums(view_d, d, "incomplete", view_d.window_length)
+    out["order_d"] = {
+        "p": p_d,
+        "d": d,
+        "terms": d * view_d.r,
+        "seconds": time.perf_counter() - t0,
+        "complete": [comp.re, comp.im],
+        "incomplete": [inc.re, inc.im],
     }
 
     # shift-identity reconstruction of the same huge index at a 9-digit prime

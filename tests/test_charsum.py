@@ -32,8 +32,8 @@ from edschar.charsum import (
     _validate_ells,
 )
 from edschar.curve import EllipticCurve, Point, enumerate_points, group_structure, point_order
-from edschar.eds import EdsView, x_only_psi
-from edschar.field import field
+from edschar.eds import SCALAR_LEVELS, EdsView, psi_window, x_only_psi
+from edschar.field import PrimeField, field
 from edschar.harness import cmd_sums, seeded_view
 from edschar.symbolic import division_poly_tower
 
@@ -58,15 +58,22 @@ def test_chi_window_matches_per_term(f5_view):
         assert int(w[i]) == _euler_chi(v, 5) == f5_view.curve.field.chi(v)
 
 
-def test_chi_window_big_prime_path():
-    # p above the chi-table guard exercises the per-term Euler branch
-    p = 4_194_319
+def _view_above_table_guard() -> EdsView:
+    p = 4_194_319  # first prime above 2**22; p - 1 = 2 * 3 * 699053
     curve = EllipticCurve(field(p), 1, 3)
     pt = next(pt for x in range(p) for pt in curve.lift_x(x) if pt.y != 0)
-    view = EdsView(curve, pt)
-    w = chi_window(view, 64)
-    for i in range(64):
-        assert int(w[i]) == _euler_chi(view.psi(i + 1), p)
+    return EdsView(curve, pt)
+
+
+def test_chi_window_big_prime_path():
+    # p above the chi-table guard: one square-and-multiply over the int64
+    # window (past the scalar levels), checked per term by Euler's criterion
+    view = _view_above_table_guard()
+    n = 3 * SCALAR_LEVELS
+    w = chi_window(view, n)
+    assert w.dtype == np.int8
+    for i in range(n):
+        assert int(w[i]) == _euler_chi(view.psi(i + 1), view.curve.p)
 
 
 def test_chi_window_cache_prefix(f5_view):
@@ -332,6 +339,28 @@ def test_order_d_exponents_and_period():
         if sig[t : t + probe] == sig[:probe]
     )
     assert predicted == brute
+
+
+def test_order_d_exponents_gather_without_per_term_calls(monkeypatch):
+    # a dlog-table gather at p <= 2**22, a square-and-multiply above it;
+    # neither calls dchar_exponent
+    small = seeded_view(1009, 3)
+    cases = [(small, 4, 2 * small.r + 5), (_view_above_table_guard(), 3, 500)]
+    expected = []
+    for view, d, n in cases:
+        fld = view.curve.field
+        want = [fld.dchar_exponent(v, d) for v in psi_window(view, n)[1:].tolist()]
+        expected.append([-1 if j is None else j for j in want])
+
+    def refuse(self, x, d):
+        raise AssertionError("order_d_exponents called dchar_exponent")
+
+    monkeypatch.setattr(PrimeField, "dchar_exponent", refuse)
+    for (view, d, n), want in zip(cases, expected):
+        view = EdsView(view.curve, view.point, r=view.r)  # nothing cached yet
+        exps = order_d_exponents(view, d, n)
+        assert exps.dtype == np.int64
+        assert exps.tolist() == want
 
 
 def test_order_d_incomplete_oracle():

@@ -5,13 +5,16 @@ import random
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from edschar.curve import EllipticCurve, Point, enumerate_points, point_order
 from edschar.eds import (
     INDEX_LIMIT,
+    SCALAR_LEVELS,
     EdsView,
     PsiEvaluator,
     psi_sequence,
@@ -43,11 +46,11 @@ def test_first_values_frozen(f5_view):
     # y^2 = x^3 + x + 1, P = (0, 1): psi_3 = -A^2 = -1 = 4 at x = 0,
     # psi_4 = 4y(-8B^2 - A^3) = 4*(-9) = -36 = 4 mod 5
     assert [f5_view.psi(n) for n in range(1, 5)] == [1, 2, 4, 4]
-    assert psi_window(f5_view, 4) == [0, 1, 2, 4, 4]
+    assert psi_window(f5_view, 4).tolist() == [0, 1, 2, 4, 4]
 
 
 def test_r7_sequence_frozen(f5_r7_view):
-    assert psi_window(f5_r7_view, 8) == R7_VALUES
+    assert psi_window(f5_r7_view, 8).tolist() == R7_VALUES
     assert f5_r7_view.r == 7
 
 
@@ -225,7 +228,37 @@ def test_window_makes_no_evaluator_call(f5_r7_view, monkeypatch):
         raise AssertionError(f"psi_window called the evaluator at n = {n}")
 
     monkeypatch.setattr(PsiEvaluator, "psi", refuse)
-    assert psi_window(f5_r7_view, 60) == expected
+    assert psi_window(f5_r7_view, 60).tolist() == expected
+
+
+def test_window_matches_stream_around_the_scalar_levels(f5_r7_view):
+    # every n_max from inside the scalar head to past the second array level,
+    # on a view with a zero every 7 terms
+    top = 4 * SCALAR_LEVELS + 8
+    stream = [0, *psi_sequence(f5_r7_view, top)]
+    for n_max in range(-2, top + 1):
+        w = psi_window(f5_r7_view, n_max)
+        assert w.dtype == np.int64
+        assert w.tolist() == stream[: max(n_max + 1, 0)]
+
+
+def _bare_view(p: int, seed: int):
+    """A stand-in view carrying only an evaluator: psi_window reads nothing
+    else, and at a 62-bit prime the point order (which EdsView needs) is out
+    of reach."""
+    rng = SplitMix64(seed)
+    curve = random_curve(field(p), rng)
+    return SimpleNamespace(evaluator=PsiEvaluator(curve, curve.random_point(rng, nonzero_y=True)))
+
+
+def test_window_dtype_follows_the_int64_bound():
+    # 3037000493 is the largest prime with (p - 1)**2 < 2**63, 3037000507 the next
+    n_max = 2 * SCALAR_LEVELS + 40  # the scalar head and two array levels
+    for p, dtype in ((3_037_000_493, np.int64), (3_037_000_507, object), ((1 << 62) - 57, object)):
+        view = _bare_view(p, 5)
+        w = psi_window(view, n_max)
+        assert w.dtype == dtype
+        assert w.tolist() == [view.evaluator.psi(n) for n in range(n_max + 1)]
 
 
 def test_index_guard(f5_view):

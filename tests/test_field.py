@@ -14,6 +14,7 @@ from edschar.field import (
     factorize,
     field,
     is_probable_prime,
+    pow_array,
     primes_in,
 )
 
@@ -158,6 +159,28 @@ def test_dlog_tables_invert_powers_of_primitive_root():
     assert F7.dlog_tables() is F7.dlog_tables()  # cached on the field
 
 
+def test_dlog_tables_baby_giant_matches_repeated_multiplication():
+    for p in (5, 13, 1009, 23417):  # 23417 - 1 is not a square
+        f = field(p)
+        g = f.primitive_root()
+        log_arr, pow_arr = f.dlog_tables()
+        assert log_arr.dtype == pow_arr.dtype == np.int32
+        powers = [1]
+        for _ in range(p - 2):
+            powers.append(powers[-1] * g % p)
+        assert pow_arr.tolist() == powers
+        assert log_arr[pow_arr].tolist() == list(range(p - 1))
+        assert log_arr[0] == -1
+
+
+def test_pow_array_at_the_int64_bound():
+    p = 3_037_000_493  # the largest prime with (p - 1)**2 < 2**63
+    xs = [0, 1, 2, p - 1, p - 2, 123_456_789, 2_999_999_999]
+    for e in (0, 1, 2, (p - 1) // 2, p - 2, p - 1):
+        got = pow_array(np.array(xs, dtype=np.int64), e, p).tolist()
+        assert got == [pow(x, e, p) for x in xs]
+
+
 # -- order-d characters ----------------------------------------------------------------
 
 
@@ -174,6 +197,25 @@ def test_order_3_character_mod_7_frozen():
     assert F7.dchar_exponent(2, 3) == 2
     val = F7.order_d_character(2, 3)
     assert cmath.isclose(val, cmath.exp(2j * cmath.pi * 2 / 3), rel_tol=1e-12)
+
+
+def test_character_arrays_match_per_value_characters():
+    # table gathers (p <= 2**22), int64 square-and-multiply, and the per-term
+    # path for object arrays (p too large for int64 products)
+    for p, d in ((1009, 4), (4_194_319, 3), (3_037_000_493, 2), ((1 << 62) - 57, 2)):
+        f = field(p)
+        rng = random.Random(p)
+        xs = [0, 1, p - 1] + [rng.randrange(p) for _ in range(200)]
+        arr = np.array(xs, dtype=np.int64 if (p - 1) ** 2 < 1 << 63 else object)
+        got = f.dchar_exponent_array(arr, d)
+        assert got.dtype == np.int64
+        want = [f.dchar_exponent(x, d) for x in xs]
+        assert got.tolist() == [-1 if j is None else j for j in want]
+        chis = f.chi_array(arr)
+        assert chis.dtype == np.int8
+        assert chis.tolist() == [f.chi(x) for x in xs]
+    with pytest.raises(ValueError):
+        F7.dchar_exponent_array(np.arange(7), 4)  # 4 does not divide 6
 
 
 def test_order_d_character_at_zero_and_one():

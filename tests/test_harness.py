@@ -337,10 +337,10 @@ def test_cmd_sums_order_d_builds_exponents_once(monkeypatch):
         twist_a=1, char_order=d,
     )
     assert out["complete"]["window"] == d * r == 4128
-    # the incomplete sum over 2r terms is a prefix of the complete sum's
-    # d*r exponent window; the other four calls are the shift constants',
-    # at order d and at order 2 for chi_period
-    assert calls["exponent"] <= d * r + 4
+    # the exponent window is one table gather, and the incomplete sum over
+    # 2r terms reads a prefix of it; the only calls are the shift
+    # constants', at order d and at order 2 for chi_period
+    assert calls["exponent"] <= 4
     # one window, for the order-d exponents (chi_period is predicted from
     # the shift constants and reads no window)
     assert calls["window"] <= 1

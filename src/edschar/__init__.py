@@ -29,7 +29,6 @@ from .charsum import (
     spectrum_err_bound,
     subgroup_mask,
     weil_degree,
-    weil_spectrum,
     weil_sum_check,
 )
 from .curve import (
@@ -103,7 +102,6 @@ __all__ = [
     "verify_index_product",
     "verify_shift_identity",
     "weil_degree",
-    "weil_spectrum",
     "weil_sum_check",
     "x_only_psi",
     "__version__",

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import EllipticCurve, GroupStructure, Point, group_grid
+from .curve import EllipticCurve, Point, group_grid
 from .eds import EdsView, psi_window
-from .field import divisors
 from .symbolic import division_poly_tower, horner
 
 TWO_PI = 2.0 * math.pi
@@ -39,6 +38,7 @@ TERM_ERR = 2.0**-40
 
 WINDOW_MAX = 20_000_000  # longest character window we will materialize
 COMPLETE_MAX = 10_000_000  # largest R for complete-sum evaluation
+SUBGROUP_ORDER_MAX = 4  # largest subgroup order small_character_subgroups lists
 
 _window_cache: "weakref.WeakKeyDictionary[EdsView, np.ndarray]" = (
     weakref.WeakKeyDictionary()
@@ -79,13 +79,15 @@ def chi_window(view: EdsView, n_terms: int) -> np.ndarray:
 
 
 def chi_period(view: EdsView) -> int:
-    """Minimal period of n -> chi(psi_n); always a divisor of 2r."""
-    window = chi_window(view, view.window_length)
-    length = len(window)
-    for d in divisors(length):
-        if np.array_equal(window, np.roll(window, -d)):
-            return d
-    raise AssertionError("window of length 2r was not 2r-periodic")
+    """Minimal period of n -> chi(psi_n): r or 2r.
+
+    psi_n vanishes exactly at the multiples of r, so a cyclic period of the
+    2r-window must map its zeros {r, 2r} onto themselves; of the divisors of
+    2r only r and 2r do.
+    """
+    r = view.r
+    window = chi_window(view, 2 * r)
+    return r if np.array_equal(window[:r], window[r:]) else 2 * r
 
 
 def incomplete_sum(view: EdsView, n_terms: int) -> int:
@@ -274,6 +276,12 @@ class WeilCheckReport:
     averaging_gap: float | None  # |subgroup sum - annihilator average|, if applicable
 
 
+# The division-polynomial tower up to ell has O(ell^2) coefficients in each of
+# O(ell) rows; and at p <= 10^6 the bound 2 d sqrt(p), d ~ ell^2 / 2, is below
+# the trivial bound |E| only for ell under about 32.
+WEIL_ELL_MAX = 101
+
+
 def weil_degree(ells: tuple[int, ...]) -> int:
     return sum((l * l - 1) // 2 for l in ells)
 
@@ -287,6 +295,8 @@ def _validate_ells(ells) -> tuple[int, ...]:
     for l in ells:
         if l < 3 or l % 2 == 0:
             raise ValueError(f"indices must be odd and >= 3, got {l}")
+        if l > WEIL_ELL_MAX:
+            raise ValueError(f"Weil checks guarded at ell <= {WEIL_ELL_MAX}, got {l}")
     return ells
 
 
@@ -313,11 +323,6 @@ def _spectrum(grid: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(grid.astype(np.float64)) * grid.size
 
 
-def weil_spectrum(curve: EllipticCurve, ells) -> np.ndarray:
-    """sum_P omega_{a,b}(P) chi(f(P)) for all (a, b), as an (M, L) array."""
-    return _spectrum(_chi_grid(curve, _ell_polys(curve, _validate_ells(ells))))
-
-
 def _locate(curve: EllipticCurve, point: Point) -> tuple[int, int]:
     """Grid coordinates (m, l) of a point: point = m*gen_m + l*gen_l."""
     _, xs, ys = group_grid(curve)
@@ -325,24 +330,6 @@ def _locate(curve: EllipticCurve, point: Point) -> tuple[int, int]:
     if not len(hits):
         raise AssertionError(f"{point} not found on the generator grid of {curve!r}")
     return int(hits[0, 0]), int(hits[0, 1])
-
-
-def _annihilator(s: GroupStructure, mq: int, lq: int) -> tuple[np.ndarray, np.ndarray]:
-    """Characters (a, b) trivial on <mq*gen_m + lq*gen_l>, as two index arrays:
-    a*mq*L + b*lq*M = 0 (mod ML)."""
-    a_grid, b_grid = np.meshgrid(
-        np.arange(s.m, dtype=np.int64), np.arange(s.l, dtype=np.int64), indexing="ij"
-    )
-    return np.nonzero((a_grid * (mq * s.l) + b_grid * (lq * s.m)) % s.size == 0)
-
-
-def annihilator_characters(curve: EllipticCurve, point: Point | None) -> list[tuple[int, int]]:
-    """Characters (a, b) trivial on <point>: a*m*L + b*l*M = 0 (mod ML)."""
-    s, _, _ = group_grid(curve)
-    if point is None:
-        return [(a, b) for a in range(s.m) for b in range(s.l)]
-    ta, tb = _annihilator(s, *_locate(curve, point))
-    return list(zip(ta.tolist(), tb.tolist()))
 
 
 def weil_sum_check(
@@ -375,7 +362,9 @@ def weil_sum_check(
     else:
         curve.validate_point(subgroup)
         mq, lq = _locate(curve, subgroup)
-        ta, tb = _annihilator(s, mq, lq)
+        # the pairing is symmetric, so the characters trivial on <Q> are the
+        # grid points of the subgroup annihilated by the "character" (mq, lq)
+        ta, tb = np.nonzero(subgroup_mask(s.m, s.l, [(mq, lq)]))
         order = s.size // len(ta)
         k = np.arange(order, dtype=np.int64)
         mask = np.zeros(grid.shape, dtype=bool)
@@ -399,51 +388,37 @@ def small_character_subgroups(m: int, l: int, max_order: int = 4) -> list[tuple[
     """All subgroups of Z/m x Z/l of order <= max_order (as sorted element tuples).
 
     These are the annihilator groups Omega_H of the subgroups H of index
-    <= max_order, cyclic or not.
+    <= max_order, cyclic or not.  A group of order <= 4 is cyclic, generated
+    by an element of the 12-torsion, or Z/2 x Z/2, spanned by two distinct
+    subgroups of order 2; max_order is guarded at 1..4.
     """
-
-    def torsion(modulus: int, k: int) -> list[int]:
-        g = math.gcd(modulus, k)
-        step = modulus // g
-        return [j * step for j in range(g)]
-
-    elems: set[tuple[int, int]] = set()
-    for k in (2, 3, 4):
-        if k > max_order:
-            continue
-        for a in torsion(m, k):
-            for b in torsion(l, k):
-                elems.add((a, b))
-
-    def closure(gens: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-        group = {(0, 0)}
-        frontier = [(0, 0)]
-        while frontier:
-            cur = frontier.pop()
-            for ga, gb in gens:
-                nxt = ((cur[0] + ga) % m, (cur[1] + gb) % l)
-                if nxt not in group:
-                    group.add(nxt)
-                    frontier.append(nxt)
-        return frozenset(group)
-
-    found: set[frozenset[tuple[int, int]]] = {frozenset({(0, 0)})}
-    elems.discard((0, 0))
-    elem_list = sorted(elems)
-    for e in elem_list:
-        g = closure([e])
-        if len(g) <= max_order:
-            found.add(g)
-    for i, e1 in enumerate(elem_list):
-        for e2 in elem_list[i + 1 :]:
-            g = closure([e1, e2])
-            if len(g) <= max_order:
-                found.add(g)
+    if not 1 <= max_order <= SUBGROUP_ORDER_MAX:
+        raise ValueError(
+            f"subgroup listing guarded at order 1..{SUBGROUP_ORDER_MAX}, got {max_order}"
+        )
+    # every element of order <= 4 lies in the 12-torsion, and the first 12
+    # multiples of such an element run through its cyclic group
+    gm, gl = math.gcd(m, 12), math.gcd(l, 12)
+    torsion = [(i * (m // gm), j * (l // gl)) for i in range(gm) for j in range(gl)]
+    cyclic = {frozenset((k * a % m, k * b % l) for k in range(12)) for a, b in torsion}
+    found = {g for g in cyclic if len(g) <= max_order}
+    if max_order >= 4:
+        # each Z/2 x Z/2 arises from three pairs; the set keeps it once
+        twos = [g for g in found if len(g) == 2]
+        found |= {
+            frozenset(((x1 + x2) % m, (y1 + y2) % l) for x1, y1 in g1 for x2, y2 in g2)
+            for n, g1 in enumerate(twos)
+            for g2 in twos[n + 1 :]
+        }
     return sorted(tuple(sorted(g)) for g in found)
 
 
 def subgroup_mask(m: int, l: int, omega_h) -> np.ndarray:
-    """Boolean (m, l) grid of the subgroup H annihilated by all of omega_h."""
+    """Boolean (m, l) grid of the subgroup H annihilated by all of omega_h.
+
+    The one place the pairing <(a, b), (i, j)> = a*i*L + b*j*M (mod ML) of
+    characters and grid points is written.
+    """
     n = m * l
     m_grid, l_grid = np.meshgrid(
         np.arange(m, dtype=np.int64), np.arange(l, dtype=np.int64), indexing="ij"
@@ -460,7 +435,9 @@ def averaged_spectrum(spectrum: np.ndarray, omega_h) -> np.ndarray:
     Row (a, b) of the result equals the subgroup-restricted sum for omega_(a,b)
     whenever omega_h is the annihilator group of that subgroup.
     """
+    m, l = spectrum.shape
+    rows, cols = np.arange(m), np.arange(l)
     acc = np.zeros_like(spectrum)
     for ta, tb in omega_h:
-        acc += np.roll(spectrum, (-ta, -tb), axis=(0, 1))
+        acc += spectrum[np.ix_((rows + ta) % m, (cols + tb) % l)]
     return acc / len(omega_h)

@@ -433,12 +433,20 @@ def sweep_weil(
     f in {psi_3, psi_5, psi_3 psi_5}, every group character omega, every curve
     with p in [p_min, p_max]; plus every subgroup of index <= index_max via
     masked sums, checked against the same bound and against the
-    annihilator-averaging identity to avg_tol relative tolerance.
+    annihilator-averaging identity to avg_tol relative tolerance.  index_max
+    is guarded at 1..4, the subgroup orders small_character_subgroups lists.
 
     The bound comparison allows only the FFT rounding envelope; bare_exceed
     counts sums whose modulus tops the bound even before that allowance.
     max_ratio records the worst modulus/bound ratio seen.
     """
+    if not 1 <= index_max <= charsum.SUBGROUP_ORDER_MAX:
+        raise ValueError(
+            f"subgroup index guarded at 1..{charsum.SUBGROUP_ORDER_MAX}, got {index_max}"
+        )
+    # (M, L) -> the annihilator groups of the nontrivial subgroups of index
+    # <= index_max, each with its subgroup mask
+    shapes: dict[tuple[int, int], list] = {}
     stats = {
         "curves": 0,
         "spectra": 0,
@@ -461,12 +469,12 @@ def sweep_weil(
             # _chi_grid reads, so each curve's group is walked once
             s = group_structure(curve)
             fft_err = charsum.spectrum_err_bound(s.size)
-            omega_groups = [
-                g
-                for g in charsum.small_character_subgroups(s.m, s.l, index_max)
-                if len(g) > 1
-            ]
-            masks = [charsum.subgroup_mask(s.m, s.l, g) for g in omega_groups]
+            if (s.m, s.l) not in shapes:
+                shapes[s.m, s.l] = [
+                    (g, charsum.subgroup_mask(s.m, s.l, g))
+                    for g in charsum.small_character_subgroups(s.m, s.l, index_max)
+                    if len(g) > 1
+                ]
             # chi(psi_3 psi_5) = chi(psi_3) chi(psi_5) entrywise, and the
             # infinity slot is 0 in both grids, so two grids serve all three
             g3 = charsum._chi_grid(curve, (f3,))
@@ -485,7 +493,7 @@ def sweep_weil(
                 failure = {"p": p, "a": curve.a, "b": curve.b, "ells": list(ells)}
                 if top > bound + fft_err:
                     stats["failures"].append({**failure, "max": top})
-                for omega_h, mask in zip(omega_groups, masks):
+                for omega_h, mask in shapes[s.m, s.l]:
                     sub = charsum._spectrum(grid * mask)
                     avg = charsum.averaged_spectrum(spec, omega_h)
                     gap = float(np.abs(sub - avg).max())
@@ -708,6 +716,8 @@ def cmd_verify(
     trials: int = 200,
     ells: tuple[int, ...] = (3,),
 ) -> dict:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     view = _build_view(p, a, b, px, py)
     rng = stream(seed, p)
     checks: list[dict] = []

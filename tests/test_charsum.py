@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from edschar.charsum import (
+    WEIL_ELL_MAX,
     WINDOW_MAX,
     _chi_grid,
-    annihilator_characters,
+    _spectrum,
     averaged_spectrum,
     bias_report,
     chi_period,
@@ -27,7 +28,6 @@ from edschar.charsum import (
     spectrum_err_bound,
     subgroup_mask,
     weil_degree,
-    weil_spectrum,
     weil_sum_check,
     _validate_ells,
 )
@@ -397,12 +397,17 @@ def test_weil_degree_frozen():
 
 def test_validate_ells():
     assert _validate_ells([5, 3]) == (5, 3)
+    assert _validate_ells((3, WEIL_ELL_MAX)) == (3, 101)
     for bad in ((), (3, 3), (4,), (1,), (3, 6)):
         with pytest.raises(ValueError):
+            _validate_ells(bad)
+    for bad in ((WEIL_ELL_MAX + 2,), (3, 301)):
+        with pytest.raises(ValueError, match="guard"):
             _validate_ells(bad)
 
 
 E13 = EllipticCurve(field(13), 2, 1)
+Z252 = EllipticCurve(field(1009), 1, 2)  # Z/252 x Z/4
 
 
 def _oracle_weil(curve, ells, omega, mults=None):
@@ -439,8 +444,31 @@ def test_weil_full_group_matches_oracle(ells):
         assert rep.subgroup is None and rep.averaging_gap is None
 
 
+def _weil_spectrum(curve, ells):
+    """sum_P omega_{a,b}(P) chi(f(P)) for every (a, b), f = prod psi_ell."""
+    tower = division_poly_tower(curve, max(ells))
+    return _spectrum(_chi_grid(curve, [tower[l][1] for l in ells]))
+
+
+def _annihilator_oracle(s, mq, lq):
+    """Characters (a, b) trivial on mq*gen_m + lq*gen_l, row by row:
+    e(a mq / M + b lq / L) = 1, i.e. a*mq*L + b*lq*M = 0 (mod ML)."""
+    return [
+        (a, b)
+        for a in range(s.m)
+        for b in range(s.l)
+        if (a * mq * s.l + b * lq * s.m) % (s.m * s.l) == 0
+    ]
+
+
+def _annihilator(s, mq, lq):
+    """The annihilator of <mq*gen_m + lq*gen_l> as weil_sum_check reads it."""
+    ta, tb = np.nonzero(subgroup_mask(s.m, s.l, [(mq, lq)]))
+    return list(zip(ta.tolist(), tb.tolist()))
+
+
 def test_weil_spectrum_matches_reports():
-    spec = weil_spectrum(E13, (3,))
+    spec = _weil_spectrum(E13, (3,))
     s = group_structure(E13)
     assert spec.shape == (s.m, s.l)
     for a in range(s.m):
@@ -466,7 +494,7 @@ def test_weil_subgroup_direct_and_averaging():
 
 def test_weil_subgroup_of_large_index_matches_oracle():
     # Z/252 x Z/4: Q = 6 gen_m + gen_l has order lcm(42, 4) = 84, index 12
-    curve = EllipticCurve(field(1009), 1, 2)
+    curve = Z252
     s = group_structure(curve)
     assert (s.m, s.l, s.size) == (252, 4, 1008)
     gen = curve.add(curve.mul(6, s.gen_m), s.gen_l)
@@ -483,13 +511,22 @@ def test_weil_subgroup_of_large_index_matches_oracle():
 def test_annihilator_counts():
     s = group_structure(E13)
     n = s.m * s.l
-    assert len(annihilator_characters(E13, None)) == n
+    assert int(subgroup_mask(s.m, s.l, []).sum()) == n  # <O> is killed by all
     for k in (1, 2, 3):
         q = E13.mul(k, s.gen_m)
         if q is None:
             continue
         h = point_order(E13, q)
-        assert len(annihilator_characters(E13, q)) == n // h
+        omega_h = _annihilator(s, k % s.m, 0)
+        assert omega_h == _annihilator_oracle(s, k % s.m, 0)
+        assert len(omega_h) == n // h
+        rep = weil_sum_check(E13, (3,), subgroup=q)
+        assert (rep.subgroup["order"], rep.subgroup["index"]) == (h, n // h)
+    # Z/252 x Z/4: Q = 6 gen_m + gen_l has order 84, so |Omega_<Q>| = 12
+    s = group_structure(Z252)
+    omega_h = _annihilator(s, 6, 1)
+    assert omega_h == _annihilator_oracle(s, 6, 1)
+    assert len(omega_h) == 12
 
 
 NONCYCLIC = EllipticCurve(field(5), -1, 0)  # full 2-torsion: Z/4 x Z/2
@@ -501,7 +538,7 @@ def _brute_small_subgroups(m, l, max_order):
     def close(gens):
         group = {(0, 0)}
         frontier = [(0, 0)]
-        while frontier:
+        while frontier and len(group) <= max_order:
             cur = frontier.pop()
             for ga, gb in gens:
                 nxt = ((cur[0] + ga) % m, (cur[1] + gb) % l)
@@ -514,27 +551,38 @@ def _brute_small_subgroups(m, l, max_order):
     for e1 in elems:
         for e2 in elems:
             g = close([e1, e2])
+            # a closure cut short past max_order elements is not kept
             if len(g) <= max_order:
                 out.add(g)
     return sorted(tuple(sorted(g)) for g in out)
 
 
-@pytest.mark.parametrize("m,l", [(9, 1), (4, 2), (12, 2), (6, 6)])
+@pytest.mark.parametrize(
+    "m,l", [(1, 1), (5, 1), (9, 1), (4, 2), (12, 2), (8, 4), (6, 6), (12, 12)]
+)
 def test_small_character_subgroups_exhaustive(m, l):
-    got = small_character_subgroups(m, l, max_order=4)
-    assert got == _brute_small_subgroups(m, l, 4)
-    for g in got:
-        assert (0, 0) in g
-        assert 1 <= len(g) <= 4
-        members = set(g)
-        for x1, y1 in g:
-            for x2, y2 in g:
-                assert ((x1 + x2) % m, (y1 + y2) % l) in members
+    for max_order in (1, 2, 3, 4):
+        got = small_character_subgroups(m, l, max_order=max_order)
+        assert got == _brute_small_subgroups(m, l, max_order)
+        for g in got:
+            assert (0, 0) in g
+            assert 1 <= len(g) <= max_order
+            members = set(g)
+            for x1, y1 in g:
+                for x2, y2 in g:
+                    assert ((x1 + x2) % m, (y1 + y2) % l) in members
+
+
+def test_small_character_subgroups_order_guard():
+    # Z/5 has a subgroup of order 5, which a list of orders <= 4 cannot hold
+    for bad in (0, 5, 6):
+        with pytest.raises(ValueError, match="guard"):
+            small_character_subgroups(5, 1, bad)
 
 
 def test_subgroup_mask_and_averaged_spectrum():
     s = group_structure(NONCYCLIC)
-    spec = weil_spectrum(NONCYCLIC, (3,))
+    spec = _weil_spectrum(NONCYCLIC, (3,))
     for omega_h in small_character_subgroups(s.m, s.l, 4):
         mask = subgroup_mask(s.m, s.l, omega_h)
         assert int(mask.sum()) * len(omega_h) == s.m * s.l
@@ -546,13 +594,32 @@ def test_subgroup_mask_and_averaged_spectrum():
     assert spec.shape == (s.m, s.l)
 
 
+def _rolled_average(spectrum, omega_h):
+    """Oracle for averaged_spectrum: the same shifts taken by np.roll."""
+    acc = np.zeros_like(spectrum)
+    for ta, tb in omega_h:
+        acc += np.roll(spectrum, (-ta, -tb), axis=(0, 1))
+    return acc / len(omega_h)
+
+
+@pytest.mark.parametrize("curve", [NONCYCLIC, Z252], ids=["Z4xZ2", "Z252xZ4"])
+def test_averaged_spectrum_matches_roll_oracle(curve):
+    s = group_structure(curve)
+    spec = _weil_spectrum(curve, (3,))
+    groups = small_character_subgroups(s.m, s.l, 4)
+    if s.m == 252:
+        groups.append(_annihilator(s, 6, 1))  # index 12, past the small list
+    for omega_h in groups:
+        assert np.array_equal(averaged_spectrum(spec, omega_h), _rolled_average(spec, omega_h))
+
+
 def test_averaging_identity_against_reports():
     s = group_structure(E13)
     gen = E13.mul(3, s.gen_m)
     if gen is None:
         pytest.skip("degenerate generator")
-    spec = weil_spectrum(E13, (3,))
-    omega_h = annihilator_characters(E13, gen)
+    spec = _weil_spectrum(E13, (3,))
+    omega_h = _annihilator_oracle(s, 3 % s.m, 0)
     avg = averaged_spectrum(spec, omega_h)
     for omega in [(0, 0), (1, 0)]:
         rep = weil_sum_check(E13, (3,), omega, subgroup=gen)

@@ -225,6 +225,32 @@ def test_sweep_weil_walks_each_group_once(monkeypatch):
     assert len(walks) == len(set(walks)) == stats["curves"] == 62
 
 
+def test_sweep_weil_lists_subgroups_once_per_shape(monkeypatch):
+    calls = []
+    listing = charsum.small_character_subgroups
+
+    def counted(m, l, max_order=4):
+        calls.append((m, l))
+        return listing(m, l, max_order)
+
+    monkeypatch.setattr(charsum, "small_character_subgroups", counted)
+    harness.sweep_weil(5, 13)
+    shapes = {
+        (s.m, s.l)
+        for p in (5, 7, 11, 13)
+        for s in map(harness.group_structure, all_curves(field(p)))
+    }
+    assert len(calls) == len(set(calls))
+    assert set(calls) == shapes
+
+
+def test_sweep_weil_index_guard():
+    # a subgroup of index 5 has an annihilator of order 5, past the list
+    for bad in (0, 5):
+        with pytest.raises(ValueError, match="guard"):
+            harness.sweep_weil(5, 7, index_max=bad)
+
+
 def _stats_hash(stats: dict) -> str:
     return hashlib.sha256(json.dumps(stats, sort_keys=True).encode()).hexdigest()
 
@@ -411,6 +437,28 @@ def test_cmd_verify_weil_builds_two_towers(monkeypatch):
     out = harness.cmd_verify(1009, 11, 17, 1, 188, identity="weil", ells=(3, 5))
     assert out["ok"] is True
     assert len(calls) <= 2
+
+
+def test_cmd_verify_weil_ell_guard_builds_no_tower(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a division-polynomial tower was built")
+
+    monkeypatch.setattr(charsum, "division_poly_tower", refuse)
+    out = harness.cmd_verify(1009, 11, 17, 1, 188, ells=(301,), trials=10)
+    assert out["ok"] is True
+    weil = next(c for c in out["checks"] if c["identity"] == "weil")
+    assert weil["status"] == "skipped" and "guard" in weil["reason"]
+    assert [c["status"] for c in out["checks"] if c["identity"] != "weil"] == ["ok"] * 4
+
+
+def test_cmd_verify_needs_a_trial(capsys):
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            harness.cmd_verify(5, 1, 1, 0, 1, trials=trials)
+        argv = ["verify", "--p", "5", "--a", "1", "--b", "1", "--px", "0", "--py", "1"]
+        assert _run(argv + ["--trials", str(trials)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "trials must be >= 1" in captured.err
 
 
 def test_cmd_verify_reports_guarded_checks_as_skipped(capsys):

@@ -1,7 +1,10 @@
 """Short Weierstrass curves y^2 = x^3 + A x + B over F_p.
 
 Points are either ``None`` (the point at infinity) or frozen :class:`Point`
-records with canonical int coordinates.  The group operations use affine
+records with canonical int coordinates.  Every point comes from ``lift_x``,
+the one place an abscissa is turned into points: ``affine_points`` walks it
+lazily over x = 0..p - 1, ``enumerate_points`` lists that walk, and
+``random_point`` lifts a random x.  The group operations use affine
 chord-and-tangent formulas; scalar multiplication is double-and-add.
 
 Curve order is computed by direct point counting for p <= 10**4 and by
@@ -78,7 +81,9 @@ class EllipticCurve:
     def __hash__(self) -> int:
         return hash((self.p, self.a, self.b))
 
-    def rhs(self, x: int) -> int:
+    def rhs(self, x):
+        """x^3 + Ax + B mod p at an int x, or elementwise at an int64 array of
+        residues (exact while 2*p**2 + p < 2**63)."""
         p = self.p
         return (x * x % p * x + self.a * x + self.b) % p
 
@@ -145,18 +150,12 @@ class EllipticCurve:
         curves consist entirely of 2-torsion and would otherwise never yield.
         Returns None when the bound is exhausted.
         """
-        tries = 0
-        while max_tries is None or tries < max_tries:
-            tries += 1
-            x = rng.randrange(self.p)
-            r = self.rhs(x)
-            if r == 0:
-                if nonzero_y:
-                    continue
-                return Point(x, 0)
-            if self.field.chi(r) == 1:
-                y = self.field.sqrt(r)
-                return Point(x, y if rng.randrange(2) == 0 else self.p - y)
+        for _ in itertools.count() if max_tries is None else range(max_tries):
+            points = self.lift_x(rng.randrange(self.p))
+            if len(points) == 2:
+                return points[rng.randrange(2)]
+            if points and not nonzero_y:
+                return points[0]
         return None
 
 
@@ -169,37 +168,27 @@ def all_curves(fld: PrimeField):
                 yield EllipticCurve(fld, a, b)
 
 
+def affine_points(curve: EllipticCurve):
+    """Affine points in (x, y)-lexicographic order (x ascending, y ascending),
+    lifted lazily one abscissa at a time."""
+    for x in range(curve.p):
+        yield from curve.lift_x(x)
+
+
 def enumerate_points(curve: EllipticCurve) -> list[Point | None]:
     """All points, infinity first, affine points in (x, y) lexicographic order."""
-    p = curve.p
-    if p > ENUMERATION_MAX:
+    if curve.p > ENUMERATION_MAX:
         raise ValueError(
             f"point enumeration guarded at p <= {ENUMERATION_MAX}; "
             "use random_point sampling instead"
         )
-    xs = np.arange(p, dtype=np.int64)
-    rhs = (xs * xs % p * xs + curve.a * xs + curve.b) % p
-    chi = curve.field.chi_table()[rhs]
-    points: list[Point | None] = [None]
-    fld = curve.field
-    for x in np.nonzero(chi >= 0)[0]:
-        x = int(x)
-        r = int(rhs[x])
-        if r == 0:
-            points.append(Point(x, 0))
-        else:
-            y = fld.sqrt(r)
-            points.append(Point(x, y))
-            points.append(Point(x, p - y))
-    return points
+    return [None, *affine_points(curve)]
 
 
 def _count_points(curve: EllipticCurve) -> int:
     """#E(F_p) by summing 1 + chi(x^3 + Ax + B) over x, plus infinity."""
-    p = curve.p
-    xs = np.arange(p, dtype=np.int64)
-    rhs = (xs * xs % p * xs + curve.a * xs + curve.b) % p
-    return p + 1 + int(curve.field.chi_table()[rhs].sum())
+    rhs = curve.rhs(np.arange(curve.p, dtype=np.int64))
+    return curve.p + 1 + int(curve.field.chi_table()[rhs].sum())
 
 
 def _hasse_interval(p: int) -> tuple[int, int]:
@@ -316,12 +305,6 @@ class GroupStructure:
     size: int
 
 
-def _iter_candidate_points(curve: EllipticCurve):
-    """Affine points in (x, y)-lexicographic order (x ascending, y ascending)."""
-    for x in range(curve.p):
-        yield from curve.lift_x(x)
-
-
 def _independent_order_l(
     curve: EllipticCurve, gen_m: Point, m: int, cand: Point, l: int
 ) -> bool:
@@ -339,7 +322,7 @@ def _independent_order_l(
 
 def _points_with_orders(curve: EllipticCurve, n: int):
     """Affine points in (x, y)-lex order, each paired with its order (n = #E)."""
-    for point in _iter_candidate_points(curve):
+    for point in affine_points(curve):
         yield point, _order_from_multiple(curve, point, n)
 
 
@@ -354,6 +337,12 @@ def _first_independent(
             if _independent_order_l(curve, gen_m, m, cand, l):
                 return cand
     return None
+
+
+def check_structure_range(p: int) -> None:
+    """Raise the group-structure guard's ValueError for p > STRUCTURE_MAX."""
+    if p > STRUCTURE_MAX:
+        raise ValueError(f"group structure guarded at p <= {STRUCTURE_MAX}")
 
 
 def group_structure(curve: EllipticCurve) -> GroupStructure:
@@ -374,8 +363,7 @@ def group_structure(curve: EllipticCurve) -> GroupStructure:
     if curve._structure is not None:
         return curve._structure
     p = curve.p
-    if p > STRUCTURE_MAX:
-        raise ValueError(f"group structure guarded at p <= {STRUCTURE_MAX}")
+    check_structure_range(p)
     n = curve_order(curve)
     # exponents M compatible with N = M*L, L | M, L | p - 1
     feasible = {

@@ -5,11 +5,13 @@ Keeping elements unwrapped (no element class) matters here: the sequence
 generators in :mod:`edschar.eds` run millions of multiply/reduce steps in
 tight loops, and attribute dispatch would dominate the runtime.  The
 :class:`PrimeField` object carries the modulus, derived constants and lazy
-caches (quadratic-character table, factorization of p-1, primitive root).
+caches (quadratic-character and discrete-log tables, factorization of p-1,
+primitive root, one order-d root table per character order d).
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 
@@ -25,6 +27,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 # Quadratic-character and discrete-log lookup tables are built lazily for
 # moduli up to this bound; above it chi falls back to an Euler-criterion pow
 # per call, and arrays of characters to one square-and-multiply (pow_array).
+# Order-d root tables are guarded at d up to the same bound.
 _CHI_TABLE_MAX = 1 << 22
 
 
@@ -133,7 +136,7 @@ class PrimeField:
         "_chi_table",
         "_p1_factors",
         "_primitive_root",
-        "_dchar_tables",
+        "_root_tables",
         "_dlog_tables",
     )
 
@@ -149,7 +152,7 @@ class PrimeField:
         self._chi_table: np.ndarray | None = None
         self._p1_factors: dict[int, int] | None = None
         self._primitive_root: int | None = None
-        self._dchar_tables: dict[int, dict[int, int]] = {}
+        self._root_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._dlog_tables: tuple[np.ndarray, np.ndarray] | None = None
 
     def __repr__(self) -> str:
@@ -265,80 +268,71 @@ class PrimeField:
         """(log, pow) int32 tables for the smallest primitive root g (small p only).
 
         log[x] = ind_g(x) for x != 0 and log[0] = -1; pow[i] = g^i for i < p - 1.
-        Built baby-step/giant-step: g^i and (g^B)^k for i, k < B = ceil(sqrt(p - 1))
-        one Python step each, then pow[kB + i] = (g^B)^k g^i as one outer product.
         """
         if self._dlog_tables is None:
             p = self.p
             if p > _CHI_TABLE_MAX:
                 raise ValueError(f"discrete-log tables guarded at p <= {_CHI_TABLE_MAX}")
-            g = self.primitive_root()
-            n = p - 1
-            steps = math.isqrt(n - 1) + 1  # steps**2 >= n
-            baby = [1] * steps
-            for i in range(1, steps):
-                baby[i] = baby[i - 1] * g % p
-            giant = [1] * steps
-            g_steps = baby[-1] * g % p
-            for k in range(1, steps):
-                giant[k] = giant[k - 1] * g_steps % p
-            outer = np.outer(np.array(giant, dtype=np.int64), np.array(baby, dtype=np.int64))
-            pow_arr = (outer % p).ravel()[:n].astype(np.int32)
+            pow_arr = _powers(self.primitive_root(), p - 1, p).astype(np.int32)
             log_arr = np.full(p, -1, dtype=np.int32)
-            log_arr[pow_arr] = np.arange(n, dtype=np.int32)
+            log_arr[pow_arr] = np.arange(p - 1, dtype=np.int32)
             self._dlog_tables = (log_arr, pow_arr)
         return self._dlog_tables
 
     # -- order-d characters ----------------------------------------------------
 
-    def _dchar_table(self, d: int) -> dict[int, int]:
-        """Map g^(j(p-1)/d) -> j for j < d, with g the smallest primitive root."""
-        table = self._dchar_tables.get(d)
+    def _check_order(self, d: int) -> None:
+        if d < 1 or (self.p - 1) % d != 0:
+            raise ValueError(f"character order {d} must divide p - 1 = {self.p - 1}")
+
+    def _root_table(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """(roots, exps): the order-d roots of unity g_d^j, g_d = g^((p-1)/d)
+        for the smallest primitive root g, as a sorted int64 array, and each
+        root's exponent j at the same position."""
+        table = self._root_tables.get(d)
         if table is None:
-            if d < 1 or (self.p - 1) % d != 0:
-                raise ValueError(f"character order {d} must divide p - 1 = {self.p - 1}")
-            gd = pow(self.primitive_root(), (self.p - 1) // d, self.p)
-            table = {}
-            acc = 1
-            for j in range(d):
-                table[acc] = j
-                acc = acc * gd % self.p
-            self._dchar_tables[d] = table
+            self._check_order(d)
+            if d > _CHI_TABLE_MAX:
+                raise ValueError(f"order-d root table guarded at d <= {_CHI_TABLE_MAX}")
+            roots = _powers(pow(self.primitive_root(), (self.p - 1) // d, self.p), d, self.p)
+            exps = np.argsort(roots)
+            table = self._root_tables[d] = (roots[exps], exps)
         return table
 
     def dchar_exponent(self, x: int, d: int) -> int | None:
         """Exponent j < d with chi_d(x) = e^(2*pi*i*j/d), or None at x = 0.
 
         Equals ind_g(x) mod d for the smallest primitive root g.  Computed by
-        projecting x onto the order-d subgroup (one pow) and looking the result
-        up in a d-entry table, so no discrete logarithm is needed.
+        projecting x onto the order-d subgroup (one pow) and finding the
+        projection in the order-d root table by bisection, so no discrete
+        logarithm is needed.
         """
-        table = self._dchar_table(d)
+        roots, exps = self._root_table(d)
         x %= self.p
         if x == 0:
             return None
-        return table[pow(x, (self.p - 1) // d, self.p)]
+        return exps.item(bisect.bisect_left(roots, pow(x, (self.p - 1) // d, self.p)))
 
     def dchar_exponent_array(self, values: np.ndarray, d: int) -> np.ndarray:
         """dchar_exponent over an array of canonical residues, as int64 with
         -1 at zeros.
 
-        p <= 2**22: ind_g(x) mod d gathered from dlog_tables.  Otherwise, on
-        int64 values: x^((p-1)/d) by one square-and-multiply over the array,
-        matched against the d roots of unity.  Object arrays (p too large for
-        int64 products) go term by term.
+        p <= 2**22: ind_g(x) mod d gathered from dlog_tables.  Otherwise the
+        projections x^((p-1)/d), by one square-and-multiply over int64 values
+        or one pow per value of an object array (p too large for int64
+        products), are matched in the order-d root table.
         """
-        table = self._dchar_table(d)
-        if self.p <= _CHI_TABLE_MAX:
+        p = self.p
+        if p <= _CHI_TABLE_MAX:
+            self._check_order(d)
             logs = self.dlog_tables()[0][values]
             return np.where(logs < 0, -1, logs % d).astype(np.int64)
+        roots, exps = self._root_table(d)
+        e = (p - 1) // d
         if values.dtype == object:
-            exp = self.dchar_exponent
-            return np.fromiter(
-                (-1 if x == 0 else exp(x, d) for x in values), dtype=np.int64, count=len(values)
-            )
-        roots, exps = (np.array(col, dtype=np.int64) for col in zip(*sorted(table.items())))
-        proj = pow_array(values, (self.p - 1) // d, self.p)
+            proj = np.array([pow(x, e, p) for x in values.tolist()], dtype=np.int64)
+        else:
+            proj = pow_array(values, e, p)
         out = exps[np.searchsorted(roots, proj).clip(max=d - 1)]
         out[proj == 0] = -1
         return out
@@ -354,6 +348,22 @@ class PrimeField:
         if 2 * j == d:
             return complex(-1.0)
         return cmath.exp(2j * cmath.pi * j / d)
+
+
+def _powers(g: int, n: int, p: int) -> np.ndarray:
+    """g^i mod p for i < n as int64, by doubling: entries [k, 2k) are g^k
+    times entries [0, k), taken in blocks of at most 2**16 array products (of
+    Python ints where int64 products could overflow; the blocks bound the
+    memory those take)."""
+    dtype = np.int64 if (p - 1) ** 2 < 1 << 63 else object
+    out = np.ones(n, dtype=np.int64)
+    k, gk = 1, g % p
+    while k < n:
+        for lo in range(0, min(k, n - k), 1 << 16):
+            hi = min(lo + (1 << 16), k, n - k)
+            out[k + lo : k + hi] = out[lo:hi].astype(dtype) * gk % p
+        k, gk = 2 * k, gk * gk % p
+    return out
 
 
 def pow_array(values: np.ndarray, e: int, p: int) -> np.ndarray:

@@ -22,7 +22,9 @@ from . import charsum
 from .curve import (
     EllipticCurve,
     Point,
+    affine_points,
     all_curves,
+    check_structure_range,
     enumerate_points,
     group_structure,
     max_order_point,
@@ -341,10 +343,7 @@ def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) 
         for batch in _curve_batches(p):
             views = []
             for curve in batch:
-                pt = next(
-                    (q for q in enumerate_points(curve) if q is not None and q.y != 0),
-                    None,
-                )
+                pt = next((q for q in affine_points(curve) if q.y != 0), None)
                 if pt is None:
                     stats["skipped_curves"] += 1
                 else:
@@ -823,6 +822,7 @@ def cmd_scan(
         raise ValueError("need 5 <= p_min <= p_max")
     if threads > THREADS_MAX:
         raise ValueError(f"worker count guarded at threads <= {THREADS_MAX}")
+    check_structure_range(p_max)  # before any prime is scanned
     records = sweep_scan(p_min, p_max, seed=seed, threads=threads)
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:

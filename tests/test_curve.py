@@ -20,6 +20,7 @@ from edschar.curve import (
 from edschar import curve as curve_module
 from edschar.curve import _count_points  # independent slow counter
 from edschar.field import field, primes_in
+from edschar.rng import SplitMix64
 
 E5 = EllipticCurve(field(5), 1, 1)  # y^2 = x^3 + x + 1
 E5_B = EllipticCurve(field(5), 0, 1)  # y^2 = x^3 + 1
@@ -156,7 +157,15 @@ def test_enumeration_hasse_bound_all_curves_f7():
     p = 7
     curves = list(all_curves(field(p)))
     for curve in curves:
-        n = len(enumerate_points(curve))
+        points = enumerate_points(curve)
+        brute = [
+            Point(x, y)
+            for x in range(p)
+            for y in range(p)
+            if (y * y - x**3 - curve.a * x - curve.b) % p == 0
+        ]
+        assert points == [None, *brute]  # infinity, then (x, y)-lex order
+        n = len(points)
         assert abs(n - p - 1) <= 2 * p**0.5
         assert curve_order(curve) == n
     assert len(curves) == p * p - p  # the singular locus has exactly p pairs
@@ -384,6 +393,35 @@ def test_random_point_exhausts_on_all_two_torsion_curve():
     assert all(pt.y == 0 for pt in affine)
     rng = _FakeRng(list(range(64)))
     assert curve.random_point(rng, nonzero_y=True, max_tries=64) is None
+
+
+def test_random_point_draws_frozen():
+    # the first 40 draws from SplitMix64(0): one x per try, then one coin for
+    # the root when x lifts to two points
+    want = [
+        (165, 516), (127, 967), (483, 718), (857, 509), (382, 845), (612, 626),
+        (689, 427), (233, 983), (727, 440), (177, 896), (370, 78), (602, 918),
+        (232, 759), (159, 25), (495, 127), (257, 247), (942, 731), (267, 910),
+        (948, 967), (328, 157), (42, 839), (875, 280), (282, 384), (610, 297),
+        (757, 880), (309, 149), (612, 626), (214, 419), (97, 488), (843, 848),
+        (250, 647), (316, 239), (198, 446), (93, 205), (747, 580), (65, 855),
+        (978, 683), (68, 389), (820, 651), (898, 5),
+    ]
+    for nonzero_y in (False, True):
+        rng = SplitMix64(0)
+        pts = [E1009.random_point(rng, nonzero_y=nonzero_y) for _ in range(40)]
+        assert [(q.x, q.y) for q in pts] == want
+    # three 2-torsion points: nonzero_y draws again, without a coin, past them
+    curve = EllipticCurve(field(13), -1, 0)
+    rng = SplitMix64(0)
+    pts = [curve.random_point(rng, nonzero_y=True) for _ in range(40)]
+    assert [(q.x, q.y) for q in pts] == [
+        (8, 7), (5, 9), (5, 4), (5, 4), (5, 4), (5, 9), (8, 6), (8, 6), (8, 6),
+        (5, 4), (5, 4), (8, 6), (8, 7), (5, 9), (8, 7), (8, 7), (8, 7), (5, 4),
+        (8, 6), (8, 7), (5, 4), (5, 9), (5, 4), (5, 9), (8, 7), (8, 6), (8, 6),
+        (5, 9), (5, 4), (8, 7), (5, 9), (5, 4), (5, 4), (8, 6), (8, 6), (5, 9),
+        (5, 9), (5, 4), (5, 4), (5, 4),
+    ]
 
 
 def test_lift_x_shapes():

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from edschar.field import (
     PrimeField,
+    _powers,
     divisors,
     factorize,
     field,
@@ -173,6 +174,18 @@ def test_dlog_tables_baby_giant_matches_repeated_multiplication():
         assert log_arr[0] == -1
 
 
+def test_powers_match_repeated_multiplication():
+    # several 2**16-entry blocks per doubling step, in int64 and in Python ints
+    n = 200_003
+    for p, g in ((3_037_000_493, 2), ((1 << 62) - 57, 3)):
+        got = _powers(g, n, p)
+        assert got.dtype == np.int64
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * g % p)
+        assert got.tolist() == powers
+
+
 def test_pow_array_at_the_int64_bound():
     p = 3_037_000_493  # the largest prime with (p - 1)**2 < 2**63
     xs = [0, 1, 2, p - 1, p - 2, 123_456_789, 2_999_999_999]
@@ -189,6 +202,15 @@ def test_order_d_rejects_non_divisor():
         F7.order_d_character(2, 4)  # 4 does not divide 6
     with pytest.raises(ValueError):
         F7.dchar_exponent(2, 5)
+
+
+def test_order_d_root_table_guard():
+    f = field(4_194_319)  # p - 1 = 4_194_318 > 2**22
+    with pytest.raises(ValueError, match="order-d root table guarded at d <= 4194304"):
+        f.dchar_exponent(3, 4_194_318)
+    with pytest.raises(ValueError, match="order-d root table guarded"):
+        f.dchar_exponent_array(np.array([3], dtype=np.int64), 4_194_318)
+    assert f.dchar_exponent(3, 699_053) is not None  # p - 1 = 6 * 699053
 
 
 def test_order_3_character_mod_7_frozen():

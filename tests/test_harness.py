@@ -499,6 +499,15 @@ def test_cmd_scan_range_guard(tmp_path):
     assert [json.loads(line)["curve"]["p"] for line in lines] == [5, 7, 11]
 
 
+def test_cmd_scan_rejects_range_past_structure_guard(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prime was scanned before the range was checked")
+
+    monkeypatch.setattr(harness, "scan_prime", refuse)
+    with pytest.raises(ValueError, match="group structure guarded at p <= 1000000"):
+        harness.cmd_scan(5, 2_000_000)
+
+
 def test_scan_worker_count_guarded_and_capped(monkeypatch, capsys):
     # a stand-in pool that records its size and maps in-process: no process
     # is ever started
@@ -592,6 +601,19 @@ def test_cli_sums_bad_char_order(capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_sums_order_d_root_table_guard(capsys):
+    p = 4_194_319  # p - 1 = 4_194_318 > 2**22, the root-table guard on d
+    curve = EllipticCurve(field(p), 1, 3)
+    pt = next(q for x in range(p) for q in curve.lift_x(x) if q.y != 0)
+    rc = _run(
+        ["sums", "--p", str(p), "--a", "1", "--b", "3", "--px", str(pt.x),
+         "--py", str(pt.y), "--char-order", "4194318", "--cap-n", "10"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: order-d root table guarded") and "Traceback" not in err
 
 
 def test_cli_verify_ok_and_failure_exit(capsys, monkeypatch):

@@ -269,9 +269,7 @@ def _bsgs_group_order(curve: EllipticCurve) -> int:
             if len(filtered) == 1:
                 return filtered[0]
     # Resolve the tie through the quadratic twist: orders pair up to 2p + 2.
-    z = 2
-    while curve.field.chi(z) != -1:
-        z += 1
+    z = curve.field.nonresidue()
     twist = EllipticCurve(curve.field, curve.a * z * z % p, curve.b * z**3 % p)
     t_exponent = 1
     for _ in range(48):

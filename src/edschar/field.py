@@ -136,6 +136,7 @@ class PrimeField:
         "_chi_table",
         "_p1_factors",
         "_primitive_root",
+        "_nonresidue",
         "_root_tables",
         "_dlog_tables",
     )
@@ -152,6 +153,7 @@ class PrimeField:
         self._chi_table: np.ndarray | None = None
         self._p1_factors: dict[int, int] | None = None
         self._primitive_root: int | None = None
+        self._nonresidue: int | None = None
         self._root_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._dlog_tables: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -216,10 +218,7 @@ class PrimeField:
         q = p - 1
         s = (q & -q).bit_length() - 1
         q >>= s
-        z = 2
-        while self.chi(z) != -1:
-            z += 1
-        c = pow(z, q, p)
+        c = pow(self.nonresidue(), q, p)
         r = pow(x, (q + 1) // 2, p)
         t = pow(x, q, p)
         m = s
@@ -235,6 +234,15 @@ class PrimeField:
             t = t * c % p
             m = i
         return min(r, p - r)
+
+    def nonresidue(self) -> int:
+        """Smallest quadratic nonresidue of F_p."""
+        if self._nonresidue is None:
+            z = 2
+            while self.chi(z) != -1:
+                z += 1
+            self._nonresidue = z
+        return self._nonresidue
 
     # -- multiplicative structure -------------------------------------------
 

@@ -46,6 +46,7 @@ from .symbolic import division_poly_batch, psi_batch
 
 SCHEMA_VERSION = "1"
 THREADS_MAX = 64  # scan worker processes; each is forked at the pool's first submit
+TRIALS_MAX = 100_000  # verify trials per check: about 20 s at p = 1009
 
 def random_curve(fld: PrimeField, rng: SplitMix64) -> EllipticCurve:
     p = fld.p
@@ -586,25 +587,21 @@ def sweep_scan(p_min: int, p_max: int, seed: int = 0, threads: int = 1) -> list[
 # -- command implementations ------------------------------------------------------
 
 
-def _build_view(p: int, a: int, b: int, px: int, py: int) -> EdsView:
+def _curve_point(
+    p: int, a: int, b: int, px: int, py: int
+) -> tuple[EllipticCurve, Point, dict]:
+    """The curve and point of a command, and its payload header: p, a and b
+    as passed, the point reduced mod p."""
     curve = EllipticCurve(p, a, b)
-    return EdsView(curve, Point(px % p, py % p))
+    pt = Point(px % p, py % p)
+    return curve, pt, {"p": p, "a": a, "b": b, "point": {"x": pt.x, "y": pt.y}}
 
 
 def cmd_eval(p: int, a: int, b: int, px: int, py: int, n: int) -> dict:
-    curve = EllipticCurve(p, a, b)
-    pt = Point(px % p, py % p)
-    ev = PsiEvaluator(curve, pt)
-    value = ev.psi(n)
-    return {
-        "p": p,
-        "a": a,
-        "b": b,
-        "point": {"x": pt.x, "y": pt.y},
-        "n": n,
-        "psi": value,
-        "chi": curve.field.chi(value),
-    }
+    # a bare evaluator: an EdsView would need the point order (guarded at p <= 10^9)
+    curve, pt, header = _curve_point(p, a, b, px, py)
+    value = PsiEvaluator(curve, pt).psi(n)
+    return {**header, "n": n, "psi": value, "chi": curve.field.chi(value)}
 
 
 def cmd_sums(
@@ -617,14 +614,12 @@ def cmd_sums(
     twist_a: int | str | None = None,
     char_order: int = 2,
 ) -> dict:
-    view = _build_view(p, a, b, px, py)
+    curve, pt, header = _curve_point(p, a, b, px, py)
+    view = EdsView(curve, pt)
     length = view.window_length
     n_terms = cap_n if cap_n is not None else length
     out: dict = {
-        "p": p,
-        "a": a,
-        "b": b,
-        "point": {"x": view.point.x, "y": view.point.y},
+        **header,
         "r": view.r,
         "R": length,
         # the period the shift constants predict; criterion 4 checks it equals
@@ -717,7 +712,10 @@ def cmd_verify(
 ) -> dict:
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    view = _build_view(p, a, b, px, py)
+    if trials > TRIALS_MAX:
+        raise ValueError(f"trial count guarded at trials <= {TRIALS_MAX}")
+    curve, pt, header = _curve_point(p, a, b, px, py)
+    view = EdsView(curve, pt)
     rng = stream(seed, p)
     checks: list[dict] = []
 
@@ -799,16 +797,7 @@ def cmd_verify(
     if all(c["status"] == "skipped" for c in checks):
         raise ValueError("; ".join(f"{c['identity']}: {c['reason']}" for c in checks))
     ok = all(c["status"] != "fail" for c in checks)
-    return {
-        "p": p,
-        "a": a,
-        "b": b,
-        "point": {"x": view.point.x, "y": view.point.y},
-        "r": view.r,
-        "identity": identity,
-        "ok": ok,
-        "checks": checks,
-    }
+    return {**header, "r": view.r, "identity": identity, "ok": ok, "checks": checks}
 
 
 def cmd_scan(
@@ -907,18 +896,11 @@ def cmd_bench(seed: int = 0) -> dict:
     # shift-identity reconstruction of the same huge index at a 9-digit prime
     p9 = largest_prime_below(1_000_000_000)
     view9 = seeded_view(p9, seed)
-    r = view9.r
-    s, k = divmod(n62, r)
-    expected = (
-        pow(view9.mult_a, (k * s) % (p9 - 1), p9)
-        * pow(view9.mult_b, (s * s) % (p9 - 1), p9)
-        * view9.psi(k)
-        % p9
-    )
+    s, k = divmod(n62 - 1, view9.r)  # n62 = s*r + (k + 1), with k + 1 in [1, r]
     out["reconstruction"] = {
         "p": p9,
-        "r": r,
+        "r": view9.r,
         "n": n62,
-        "ok": view9.psi(n62) == expected,
+        "ok": verify_shift_identity(view9, s, k + 1),
     }
     return out

@@ -127,6 +127,24 @@ def test_sqrt_of_zero():
     assert F97.sqrt(0) == 0
 
 
+def test_nonresidue_searched_once_per_field(monkeypatch):
+    # 1009 = 1 mod 8, so every sqrt runs Tonelli-Shanks with the smallest
+    # nonresidue z; each call costs one chi (x is a square), the search for z
+    # costs z - 1 once, on the first call
+    p = 1009
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    assert z == 11
+    calls = []
+    chi = PrimeField.chi
+    monkeypatch.setattr(PrimeField, "chi", lambda self, x: calls.append(x) or chi(self, x))
+    f = PrimeField(p)  # a fresh field: nothing cached yet
+    roots = [f.sqrt(x * x) for x in range(1, 101)]
+    assert roots == [min(x, p - x) for x in range(1, 101)]
+    assert len(calls) == 100 + (z - 1)
+    assert f.nonresidue() == z and len(calls) == 100 + (z - 1)
+    assert F97.nonresidue() == 5 and F7.nonresidue() == 3
+
+
 # -- multiplicative structure ---------------------------------------------------------
 
 

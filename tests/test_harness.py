@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -282,6 +283,44 @@ def test_oracle_batches_hold_whole_a_values():
         )
 
 
+# -- the acceptance drivers at smoke scale ---------------------------------------------------
+
+
+def test_sweep_small_fields_smoke():
+    assert harness.sweep_small_fields(5, 13) == {
+        "curves": 328,
+        "views": 3336,
+        "skipped_points": 624,
+        "shift_checks": 167110,
+        "chi_period_r": 1143,
+        "chi_period_2r": 2193,
+        "period_samples": 67,
+        "failures": [],
+    }
+
+
+def test_sweep_recurrence_smoke():
+    assert harness.sweep_recurrence(200, seed=1) == {"tuples": 200, "views": 200, "failures": []}
+
+
+def test_sweep_index_product_smoke():
+    assert harness.sweep_index_product(50, seed=1, edge_trials=8) == {
+        "trials": 50,
+        "edge_trials": 8,
+        "edge_infinity": 7,
+        "edge_two_torsion": 3,
+        "failures": [],
+    }
+
+
+def test_sweep_oracle_random_smoke():
+    assert harness.sweep_oracle_random(2, seed=1, n_max=200) == {
+        "curves": 2,
+        "values": 432,
+        "failures": [],
+    }
+
+
 # -- command payloads ----------------------------------------------------------------------
 
 
@@ -461,6 +500,20 @@ def test_cmd_verify_needs_a_trial(capsys):
         assert captured.out == "" and "trials must be >= 1" in captured.err
 
 
+def test_cmd_verify_trials_bound(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a view was built before the trial count was checked")
+
+    monkeypatch.setattr(harness, "EdsView", refuse)
+    for trials in (harness.TRIALS_MAX + 1, 10**11):
+        with pytest.raises(ValueError, match="trial count guarded at trials <= 100000"):
+            harness.cmd_verify(1009, 11, 17, 1, 188, trials=trials)
+    argv = ["verify", "--p", "1009", "--a", "11", "--b", "17", "--px", "1", "--py", "188"]
+    assert _run(argv + ["--trials", str(10**11)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trial count guarded" in captured.err
+
+
 def test_cmd_verify_reports_guarded_checks_as_skipped(capsys):
     # at a 9-digit prime the period check's 2r window and the Weil grid are
     # past their guards; the three checks that do run still report
@@ -548,6 +601,76 @@ def _run(argv):
 
 def _eval_args(p="5", a="1", b="1", px="0", py="1", n="2"):
     return ["eval", "--p", p, "--a", a, "--b", b, "--px", px, "--py", py, "--n", n]
+
+
+def _curve_args(*extra):
+    return ["--p", "1009", "--a", "11", "--b", "17", "--px", "1", "--py", "188", *extra]
+
+
+def test_cli_usage_errors_exit_1(capsys):
+    # argparse's own errors are invalid input too: exit 1, not 2 (which
+    # means a failed verification)
+    for argv in (
+        _eval_args(p="abc"),
+        _eval_args()[:-2],  # --n missing
+        ["sums", *_curve_args("--twist-a", "xyz")],
+    ):
+        assert _run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        _run(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "defaults: identity=all, seed=0, trials=200" in capsys.readouterr().out
+
+
+def test_cli_options_are_cmd_parameters(monkeypatch):
+    # only the options given reach cmd_*, under the names of its parameters
+    calls = []
+    monkeypatch.setattr(harness, "cmd_sums", lambda *a, **k: calls.append(k) or {})
+    monkeypatch.setattr(harness, "cmd_verify", lambda *a, **k: calls.append(k) or {"ok": True})
+    assert _run(["sums", *_curve_args("--twist-a", "all")]) == 0
+    assert _run(["sums", *_curve_args("--twist-a", "-3", "--cap-n", "0")]) == 0
+    assert _run(["verify", *_curve_args("--ell", "3", "--ell", "5")]) == 0
+    curve = {"p": 1009, "a": 11, "b": 17, "px": 1, "py": 188}
+    assert calls == [
+        {**curve, "twist_a": "all"},
+        {**curve, "twist_a": -3, "cap_n": 0},
+        {**curve, "ells": [3, 5]},
+    ]
+
+
+# one argv per row of README's guard table that the CLI reaches
+GUARD_ARGVS = {
+    "p composite": _eval_args(p="15"),
+    "p >= 2**62": _eval_args(p=str(2**62 + 135)),
+    "n = 2**512": _eval_args(n=str(2**512)),
+    "n = -2**512": _eval_args(n=str(-(2**512))),
+    "cap_n -1": ["sums", *_curve_args("--cap-n", "-1")],
+    "char_order 0": ["sums", *_curve_args("--char-order", "0")],
+    "char_order 1": ["sums", *_curve_args("--char-order", "1")],
+    "char_order 5 does not divide 1008": ["sums", *_curve_args("--char-order", "5")],
+    "ell even": ["verify", *_curve_args("--identity", "weil", "--ell", "4")],
+    "ell 103": ["verify", *_curve_args("--identity", "weil", "--ell", "103")],
+    "threads 65": ["scan", "--p-min", "5", "--p-max", "50", "--threads", "65"],
+    "trials 0": ["verify", *_curve_args("--trials", "0")],
+    "trials past the bound": ["verify", *_curve_args("--trials", str(10**11))],
+    "scan past the structure guard": ["scan", "--p-min", "5", "--p-max", "2000000"],
+}
+
+
+@pytest.mark.parametrize("argv", GUARD_ARGVS.values(), ids=GUARD_ARGVS.keys())
+def test_cli_guard_table(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    t0 = time.perf_counter()
+    assert _run(argv) == 1
+    assert time.perf_counter() - t0 < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_cli_eval_success(capsys):

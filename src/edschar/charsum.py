@@ -10,6 +10,10 @@ envelopes R^(5/6) q^(1/12) log(q)^k, and brute-force checks Weil-type bounds
 including the annihilator-averaging identity that reduces subgroup sums to
 full-group sums.
 
+An incomplete sum, quadratic or of order d, counts how often each value
+occurs in the first N terms of one window repeated with its period (R = 2r,
+or d*r): N = 0 is the empty sum, and only a negative N raises.
+
 The Weil checks evaluate chi(f(P)) on the (M, L) group grid of
 curve.group_grid, which is built by one walk of the generator combinations,
 checked pairwise distinct and cached on the curve, and take every sum from
@@ -90,11 +94,24 @@ def chi_period(view: EdsView) -> int:
     return r if np.array_equal(window[:r], window[r:]) else 2 * r
 
 
+def _periodic_counts(window, period: int, n_terms: int, count) -> list[int]:
+    """Per-value tallies of the first n_terms terms of a sequence of the given
+    period, from window(k), its first k terms.  count(terms) tallies an array;
+    tallies add over concatenation, so a whole period is counted once and
+    scaled, in Python ints.  0 terms tally zero; only n_terms < 0 raises."""
+    if n_terms < 0:
+        raise ValueError(f"n_terms must be >= 0, got {n_terms}")
+    cycles, rest = divmod(n_terms, period)
+    terms = window(min(n_terms, period))
+    tally = count(terms[:rest]).tolist()
+    if cycles:
+        tally = [cycles * c + t for c, t in zip(count(terms).tolist(), tally)]
+    return tally
+
+
 def incomplete_sum(view: EdsView, n_terms: int) -> int:
     """S_P(N) = sum_{n<=N} chi(psi_n), exactly, using periodicity beyond R."""
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
-    return bias_report(view, n_terms).total if n_terms else 0
+    return bias_report(view, n_terms).total
 
 
 @dataclass(frozen=True)
@@ -108,31 +125,20 @@ class BiasReport:
 
 
 def bias_report(view: EdsView, n_terms: int) -> BiasReport:
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    length = view.window_length
-    window = chi_window(view, min(n_terms, length))
-
-    def counts(arr) -> tuple[int, int, int]:
-        plus = int((arr == 1).sum())
-        minus = int((arr == -1).sum())
-        return plus, minus, len(arr) - plus - minus
-
-    if n_terms <= length:
-        plus, minus, zero = counts(window[:n_terms])
-    else:
-        cycles, rest = divmod(n_terms, length)
-        p1, m1, z1 = counts(window)
-        p2, m2, z2 = counts(window[:rest]) if rest else (0, 0, 0)
-        plus, minus, zero = cycles * p1 + p2, cycles * m1 + m2, cycles * z1 + z2
+    """How often chi(psi_n) is +1, -1 and 0 for n = 1..n_terms, from the
+    window of R = 2r terms repeated; 0 terms is the empty report."""
+    plus, minus = _periodic_counts(
+        lambda k: chi_window(view, k), view.window_length, n_terms,
+        lambda w: np.array([np.count_nonzero(w == 1), np.count_nonzero(w == -1)]),
+    )
     total = plus - minus
     return BiasReport(
         n_terms=n_terms,
         plus=plus,
         minus=minus,
-        zero=zero,
+        zero=n_terms - plus - minus,
         total=total,
-        bias=total / n_terms,
+        bias=total / n_terms if n_terms else 0.0,
     )
 
 
@@ -143,7 +149,7 @@ def _phase_sum(ks: np.ndarray, weights: np.ndarray, length: int) -> ComplexSum:
     return ComplexSum(
         re=math.fsum(weights * np.cos(angles)),
         im=math.fsum(weights * np.sin(angles)),
-        err_bound=max(int(np.abs(weights).sum()), 1) * TERM_ERR,
+        err_bound=int(np.abs(weights).sum()) * TERM_ERR,
     )
 
 
@@ -197,6 +203,8 @@ def order_d_exponents(view: EdsView, d: int, n_terms: int) -> np.ndarray:
     cached_d, cached = _exponent_cache.get(view, (None, None))
     if cached_d == d and len(cached) >= n_terms:
         return cached[:n_terms]
+    if n_terms > COMPLETE_MAX:
+        raise ValueError("order-d window exceeds the desk-scale guard")
     out = view.curve.field.dchar_exponent_array(psi_window(view, n_terms)[1:], d)
     out.flags.writeable = False
     _exponent_cache[view] = (d, out)
@@ -230,33 +238,22 @@ def order_d_sums(view: EdsView, d: int, mode: str, x: int) -> ComplexSum:
     """
     if d < 2 or (view.curve.p - 1) % d != 0:
         raise ValueError(f"character order {d} must divide p - 1 and be >= 2")
-    if mode == "incomplete":
-        if x < 1:
-            raise ValueError("incomplete sums need at least one term")
-        steps = x
-        window_len = min(steps, d * view.r)
-    elif mode == "complete":
-        steps = d * view.r
-        window_len = steps
-    else:
-        raise ValueError(f"mode must be 'complete' or 'incomplete', got {mode!r}")
-    if window_len > COMPLETE_MAX:
-        raise ValueError("order-d window exceeds the desk-scale guard")
-    exps = order_d_exponents(view, d, window_len)
-
+    period = d * view.r
     if mode == "incomplete":
         # pure root-of-unity sum: how often each exponent j occurs in x terms
-        reps, rest = divmod(steps, window_len)
-        head = exps[:rest]
-        full = np.bincount(exps[exps >= 0], minlength=d)
-        part = np.bincount(head[head >= 0], minlength=d)
-        counts = [reps * int(f) + int(q) for f, q in zip(full, part)]
+        # (shifted by one, so that the zeros' -1 lands in a dropped bin)
+        counts = _periodic_counts(
+            lambda k: order_d_exponents(view, d, k), period, x,
+            lambda w: np.bincount(w + 1, minlength=d + 1)[1:],
+        )
         return _phase_sum(np.arange(d), np.array(counts, dtype=np.float64), d)
-
-    # complete: phase index k_n = (a*n + exps_n * (steps // d)) mod steps
+    if mode != "complete":
+        raise ValueError(f"mode must be 'complete' or 'incomplete', got {mode!r}")
+    # phase index k_n = (a*n + exps_n * r) mod d*r
+    exps = order_d_exponents(view, d, period)
     idx = np.flatnonzero(exps >= 0)
-    ks = ((x % steps) * (idx + 1) + exps[idx] * (steps // d)) % steps
-    return _phase_sum(ks, np.ones(len(idx)), steps)
+    ks = ((x % period) * (idx + 1) + exps[idx] * view.r) % period
+    return _phase_sum(ks, np.ones(len(idx)), period)
 
 
 # -- Weil-bound brute force ----------------------------------------------------

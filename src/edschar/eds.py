@@ -18,11 +18,13 @@ the zero set is the multiples of r = ord(P).
 Three evaluation strategies are provided.  :class:`PsiEvaluator` walks an
 8-term block of consecutive values down the bits of n with the halving
 recurrences (one step per bit, constant memory, no memo and no recursion;
-usable for |n| < 2**512).  :func:`psi_window` applies the same recurrences
-bottom-up to build psi_0 .. psi_N as a numpy array, one whole level of
-indices per step, dividing only by psi_2 (int64 when (p - 1)^2 < 2^63,
-object dtype above).  The stream
-:func:`psi_sequence` advances one index at a time with the four-term recurrence
+usable for |n| < 2**512); :class:`EdsView` is a PsiEvaluator that also holds
+the point order r and the order-shift constants.  :func:`psi_window` takes
+any evaluator and applies the same recurrences bottom-up to build
+psi_0 .. psi_N as a numpy array, one whole level of indices per step,
+dividing only by psi_2 (int64 when (p - 1)^2 < 2^63, object dtype above).
+The stream :func:`psi_sequence` advances one index at a time with the
+four-term recurrence
 
     psi_{n+2} psi_{n-2} = psi_{n+1} psi_{n-1} psi_2^2 - psi_3 psi_n^2,
 
@@ -173,8 +175,9 @@ class PsiEvaluator:
         return w0, w1, w2, w3, w4, w5, w6, w7
 
 
-class EdsView:
-    """A curve/point pair with its order r and order-shift constants.
+class EdsView(PsiEvaluator):
+    """A PsiEvaluator that also knows the point order r and the order-shift
+    constants.
 
     The shift constants (a, b) satisfy psi_{sr+k} = a^(ks) b^(s^2) psi_k for
     all s >= 0, k >= 1.  Solving that relation at (s, k) = (1, 1) and (1, 2)
@@ -185,37 +188,34 @@ class EdsView:
     cross-checked at construction.
     """
 
-    __slots__ = ("curve", "point", "r", "mult_a", "mult_b", "evaluator", "__weakref__")
+    __slots__ = ("r", "mult_a", "mult_b", "__weakref__")
 
     def __init__(self, curve: EllipticCurve, point: Point, r: int | None = None):
-        self.evaluator = PsiEvaluator(curve, point)
-        self.curve = curve
-        self.point = point
-        ev = self.evaluator
+        super().__init__(curve, point)
         if r is None:
             r = point_order(curve, point)
         elif not 3 <= r <= _hasse_interval(curve.p)[1]:  # keeps factorize(r) fast
             raise ValueError(f"point order must be in [3, p + 1 + 2 sqrt(p)], got {r}")
-        elif any(ev.psi(r // q) == 0 for q in factorize(r)):  # [r/q]P = O
+        elif any(self.psi(r // q) == 0 for q in factorize(r)):  # [r/q]P = O
             raise ValueError(f"r = {r} is a multiple of the order of {point}")
         self.r = r
-        p = curve.p
-        _, w_b2, w_b1, w_r, w_a1, w_a2, _, _ = ev._block(r)
+        p, psi2 = self.p, self.psi2
+        _, w_b2, w_b1, w_r, w_a1, w_a2, _, _ = self._block(r)
         if w_r != 0:
             raise ValueError(f"psi_{r} != 0 at {point}; r is not the point order")
         if 0 in (w_b1, w_b2, w_a1, w_a2):
             raise AssertionError("psi vanished off the multiples of r")
-        self.mult_a = w_b1 * ev.psi2 % p * pow(w_b2, -1, p) % p
-        self.mult_b = -w_b1 * w_b1 % p * ev.psi2 % p * pow(w_b2, -1, p) % p
+        self.mult_a = w_b1 * psi2 % p * pow(w_b2, -1, p) % p
+        self.mult_b = -w_b1 * w_b1 % p * psi2 % p * pow(w_b2, -1, p) % p
         if (
-            self.mult_a != w_a2 * pow(w_a1 * ev.psi2 % p, -1, p) % p
-            or self.mult_b != w_a1 * w_a1 % p * ev.psi2 % p * pow(w_a2, -1, p) % p
+            self.mult_a != w_a2 * pow(w_a1 * psi2 % p, -1, p) % p
+            or self.mult_b != w_a1 * w_a1 % p * psi2 % p * pow(w_a2, -1, p) % p
         ):
             raise AssertionError(f"shift-constant forms disagree at {point}")
 
     def __repr__(self) -> str:
         return (
-            f"EdsView(p={self.curve.p}, a={self.curve.a}, b={self.curve.b}, "
+            f"EdsView(p={self.p}, a={self.curve.a}, b={self.curve.b}, "
             f"point=({self.point.x},{self.point.y}), r={self.r})"
         )
 
@@ -223,9 +223,6 @@ class EdsView:
     def window_length(self) -> int:
         """R = 2r, the canonical character-sequence window."""
         return 2 * self.r
-
-    def psi(self, n: int) -> int:
-        return self.evaluator.psi(n)
 
 
 def _halve(a, b, c, d, e, p: int, inv2: int):
@@ -244,7 +241,7 @@ def _halve(a, b, c, d, e, p: int, inv2: int):
 SCALAR_LEVELS = 64
 
 
-def psi_window(view: EdsView, n_max: int) -> np.ndarray:
+def psi_window(ev: PsiEvaluator, n_max: int) -> np.ndarray:
     """[psi_0, psi_1, ..., psi_n_max] by the halving recurrences, bottom-up.
 
     Level m >= 2 turns psi_{m-2} .. psi_{m+2} into psi_{2m} and psi_{2m+1}
@@ -257,7 +254,6 @@ def psi_window(view: EdsView, n_max: int) -> np.ndarray:
     The dtype is int64 when (p - 1)**2 < 2**63 and object (Python ints)
     above that; the values are canonical residues either way.
     """
-    ev = view.evaluator
     p = ev.p
     inv2 = ev._inv_psi2
     dtype = np.int64 if (p - 1) ** 2 < 1 << 63 else object
@@ -283,31 +279,29 @@ def psi_window(view: EdsView, n_max: int) -> np.ndarray:
 
 def psi_sequence(view: EdsView, n_max: int) -> Iterator[int]:
     """Stream psi_1, ..., psi_n_max (four-term recurrence, patched at zeros)."""
-    ev = view.evaluator
-    p = ev.p
+    p = view.p
     r = view.r
-    w0, w1, w2, w3 = 1, ev.psi2, ev.psi3, ev.psi4  # psi_1 .. psi_4
+    w0, w1, w2, w3 = 1, view.psi2, view.psi3, view.psi4  # psi_1 .. psi_4
     yield from (w0, w1, w2, w3)[: max(n_max, 0)]
-    c2 = ev.psi2 * ev.psi2 % p
-    c3 = ev.psi3
+    c2 = view.psi2 * view.psi2 % p
+    c3 = view.psi3
     for j in range(5, n_max + 1):
         if (j - 4) % r == 0:
-            nxt = ev.psi(j)
+            nxt = view.psi(j)
         else:
             nxt = (w3 * w1 % p * c2 - c3 * w2 % p * w2) * pow(w0, -1, p) % p
         yield nxt
         w0, w1, w2, w3 = w1, w2, w3, nxt
 
 
-def recurrence_residual(view: EdsView | PsiEvaluator, h: int, i: int, j: int) -> int:
+def recurrence_residual(ev: PsiEvaluator, h: int, i: int, j: int) -> int:
     """Residual of the four-term bilinear identity at indices (h, i, j).
 
     psi_{h+i} psi_{h-i} psi_j^2 + psi_{i+j} psi_{i-j} psi_h^2
         + psi_{j+h} psi_{j-h} psi_i^2  (mod p); zero for every integer triple.
-    Accepts a sequence view or a bare evaluator.
     """
-    p = view.curve.p
-    psi = view.psi
+    p = ev.p
+    psi = ev.psi
     wh, wi, wj = psi(h), psi(i), psi(j)
     t1 = psi(h + i) * psi(h - i) % p * (wj * wj % p)
     t2 = psi(i + j) * psi(i - j) % p * (wh * wh % p)

@@ -3,9 +3,9 @@
 Every randomized driver takes an integer seed and derives per-prime streams
 with a fixed splitmix64 generator, so runs are reproducible across platforms,
 Python versions, and worker counts.  Scan output is a list of JSON-ready
-records with a fixed schema (see make_record); records sort by prime so
-multi-process runs are byte-identical to single-process runs apart from the
-"ts" wall-clock field.
+records with a fixed schema (see make_record), one per prime in ascending
+order whatever the worker count, so multi-process runs are byte-identical to
+single-process runs apart from the "ts" wall-clock field.
 """
 
 from __future__ import annotations
@@ -568,20 +568,10 @@ def sweep_scan(p_min: int, p_max: int, seed: int = 0, threads: int = 1) -> list[
     # the pool is never larger than the number of primes
     threads = min(threads, len(primes))
     if threads > 1:
+        # map yields in input order: one record per prime, ascending
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_scan_worker, [(p, seed) for p in primes], chunksize=8))
-    else:
-        records = [scan_prime(p, seed) for p in primes]
-    records.sort(
-        key=lambda rec: (
-            rec["curve"]["p"],
-            rec["curve"]["a"],
-            rec["curve"]["b"],
-            rec["point"]["x"],
-            rec["point"]["y"],
-        )
-    )
-    return records
+            return list(pool.map(_scan_worker, [(p, seed) for p in primes], chunksize=8))
+    return [scan_prime(p, seed) for p in primes]
 
 
 # -- command implementations ------------------------------------------------------
@@ -616,6 +606,7 @@ def cmd_sums(
 ) -> dict:
     curve, pt, header = _curve_point(p, a, b, px, py)
     view = EdsView(curve, pt)
+    d = char_order
     length = view.window_length
     n_terms = cap_n if cap_n is not None else length
     out: dict = {
@@ -626,76 +617,52 @@ def cmd_sums(
         # the measured minimal period, and it needs no 2r-term window
         "chi_period": charsum.order_d_period(view, 2),
     }
-    if char_order == 2:
-        if n_terms:
-            bias = charsum.bias_report(view, n_terms)
-            total = bias.total
-            counts = {"plus": bias.plus, "minus": bias.minus, "zero": bias.zero}
-        else:
-            total = 0
-            counts = {"plus": 0, "minus": 0, "zero": 0}
-        out["incomplete"] = {
-            "n_terms": n_terms,
-            "sum": total,
-            "envelope_ratio": abs(total) / charsum.incomplete_envelope(length, p),
-            **counts,
-        }
-        if twist_a == "all":
-            if length > 65536:
-                raise ValueError(
-                    "R too large to emit the full spectrum; pass a single twist index"
-                )
-            spec = charsum.complete_spectrum(view)
-            mods = np.abs(spec)
-            out["complete"] = {
-                "err_bound": charsum.spectrum_err_bound(length),
-                "max_modulus": float(mods.max()),
-                "argmax": int(mods.argmax()),
-                "sums": [[float(z.real), float(z.imag)] for z in spec],
-            }
-        elif twist_a is not None:
-            cs = charsum.complete_sum(view, int(twist_a))
-            out["complete"] = {
-                "twist": int(twist_a) % length,
-                "re": cs.re,
-                "im": cs.im,
-                "modulus": cs.modulus,
-                "err_bound": cs.err_bound,
-                "envelope_ratio": cs.modulus / charsum.complete_envelope(length, p),
-            }
-    else:
+    if d != 2:
         if twist_a == "all":
             raise ValueError(
                 "the full spectrum is quadratic-only (char_order 2); "
                 "pass a single twist index"
             )
-        d = char_order
-        window = d * view.r
         out["order"] = d
         out["order_d_period"] = charsum.order_d_period(view, d)
-        complete = twist_a is not None and twist_a != "all"
-        if complete:
-            # first: the incomplete sum then reads a prefix of its exponents
-            cs = charsum.order_d_sums(view, d, "complete", int(twist_a))
-        if n_terms:
-            inc = charsum.order_d_sums(view, d, "incomplete", n_terms)
+    # complete first: the incomplete sum then reads a prefix of its window
+    if twist_a == "all":
+        if length > 65536:
+            raise ValueError("R too large to emit the full spectrum; pass a single twist index")
+        spec = charsum.complete_spectrum(view)
+        mods = np.abs(spec)
+        out["complete"] = {
+            "err_bound": charsum.spectrum_err_bound(length),
+            "max_modulus": float(mods.max()),
+            "argmax": int(mods.argmax()),
+            "sums": [[float(z.real), float(z.imag)] for z in spec],
+        }
+    elif twist_a is not None:
+        twist, window = int(twist_a), d * view.r
+        if d == 2:
+            cs = charsum.complete_sum(view, twist)
+            scale = {"envelope_ratio": cs.modulus / charsum.complete_envelope(length, p)}
         else:
-            inc = charsum.ComplexSum(0.0, 0.0, 0.0)
+            cs = charsum.order_d_sums(view, d, "complete", twist)
+            scale = {"window": window}
+        out["complete"] = {
+            "twist": twist % window,
+            "re": cs.re, "im": cs.im, "modulus": cs.modulus, "err_bound": cs.err_bound,
+            **scale,
+        }
+    if d == 2:
+        bias = charsum.bias_report(view, n_terms)
         out["incomplete"] = {
             "n_terms": n_terms,
-            "re": inc.re,
-            "im": inc.im,
-            "err_bound": inc.err_bound,
+            "sum": bias.total,
+            "envelope_ratio": abs(bias.total) / charsum.incomplete_envelope(length, p),
+            "plus": bias.plus, "minus": bias.minus, "zero": bias.zero,
         }
-        if complete:
-            out["complete"] = {
-                "twist": int(twist_a) % window,
-                "window": window,
-                "re": cs.re,
-                "im": cs.im,
-                "modulus": cs.modulus,
-                "err_bound": cs.err_bound,
-            }
+    else:
+        inc = charsum.order_d_sums(view, d, "incomplete", n_terms)
+        out["incomplete"] = {
+            "n_terms": n_terms, "re": inc.re, "im": inc.im, "err_bound": inc.err_bound,
+        }
     return out
 
 
@@ -809,8 +776,8 @@ def cmd_scan(
 ) -> list[dict]:
     if p_min < 5 or p_max < p_min:
         raise ValueError("need 5 <= p_min <= p_max")
-    if threads > THREADS_MAX:
-        raise ValueError(f"worker count guarded at threads <= {THREADS_MAX}")
+    if not 1 <= threads <= THREADS_MAX:
+        raise ValueError(f"worker count guarded at 1 <= threads <= {THREADS_MAX}")
     check_structure_range(p_max)  # before any prime is scanned
     records = sweep_scan(p_min, p_max, seed=seed, threads=threads)
     if out is not None:
@@ -831,10 +798,10 @@ def cmd_bench(seed: int = 0) -> dict:
     curve = random_curve(fld, rng)
     pt = curve.random_point(rng, nonzero_y=True)
     n62 = 1 << 62
+    ev = PsiEvaluator(curve, pt)
     times = []
     value62 = None
     for _ in range(5):
-        ev = PsiEvaluator(curve, pt)
         t0 = time.perf_counter()
         got = ev.psi(n62)
         times.append(time.perf_counter() - t0)
@@ -842,7 +809,6 @@ def cmd_bench(seed: int = 0) -> dict:
             value62 = got
         elif got != value62:
             raise AssertionError("non-deterministic evaluation at n = 2^62")
-    ev = PsiEvaluator(curve, pt)
     res = recurrence_residual(
         ev,
         rng.randrange(1, 1 << 40),

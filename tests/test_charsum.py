@@ -10,6 +10,8 @@ import pytest
 from edschar.charsum import (
     WEIL_ELL_MAX,
     WINDOW_MAX,
+    BiasReport,
+    ComplexSum,
     _chi_grid,
     _spectrum,
     averaged_spectrum,
@@ -166,8 +168,10 @@ def test_bias_report_periodic_extension(f5_view):
         signs.count(0),
     )
     assert rep.zero == n // 9  # zeros land exactly on the multiples of the point order
-    with pytest.raises(ValueError):
-        bias_report(f5_view, 0)
+    # 0 terms is the empty report; only a negative count raises
+    assert bias_report(f5_view, 0) == BiasReport(0, 0, 0, 0, 0, 0.0)
+    with pytest.raises(ValueError, match="n_terms must be >= 0"):
+        bias_report(f5_view, -1)
 
 
 # -- complete sums and the spectrum -------------------------------------------------------
@@ -314,8 +318,10 @@ def test_order_d_rejects_bad_order(f5_view):
         order_d_sums(f5_view, 0, "incomplete", 5)
     with pytest.raises(ValueError):
         order_d_sums(f5_view, 2, "partial", 5)
-    with pytest.raises(ValueError):
-        order_d_sums(f5_view, 2, "incomplete", 0)
+    # 0 terms is the empty sum; only a negative count raises
+    assert order_d_sums(f5_view, 2, "incomplete", 0) == ComplexSum(0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="n_terms must be >= 0"):
+        order_d_sums(f5_view, 2, "incomplete", -1)
 
 
 def test_order_d_exponents_and_period():

@@ -5,7 +5,6 @@ import random
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,7 +62,7 @@ def test_order_three_point_vanishes():
 
 
 def test_psi_eval_helper(f5_view):
-    assert f5_view.psi(3) == f5_view.evaluator.psi(3) == 4
+    assert f5_view.psi(3) == PsiEvaluator(f5_view.curve, f5_view.point).psi(3) == 4
 
 
 # -- construction guards ------------------------------------------------------------
@@ -124,7 +123,7 @@ def test_recurrence_residual_examples(f5_view):
     assert recurrence_residual(f5_view, 3, 2, 1) == 0
     assert recurrence_residual(f5_view, 10, 4, 0) == 0
     assert recurrence_residual(f5_view, -7, 12, 5) == 0
-    assert recurrence_residual(f5_view.evaluator, 3, 2, 1) == 0
+    assert recurrence_residual(PsiEvaluator(f5_view.curve, f5_view.point), 3, 2, 1) == 0
 
 
 _VIEW_R7 = EdsView(EllipticCurve(field(5), 2, 1), Point(0, 1))
@@ -242,13 +241,13 @@ def test_window_matches_stream_around_the_scalar_levels(f5_r7_view):
         assert w.tolist() == stream[: max(n_max + 1, 0)]
 
 
-def _bare_view(p: int, seed: int):
-    """A stand-in view carrying only an evaluator: psi_window reads nothing
-    else, and at a 62-bit prime the point order (which EdsView needs) is out
-    of reach."""
+def _bare_view(p: int, seed: int) -> PsiEvaluator:
+    """A bare evaluator at a seeded point: psi_window takes any evaluator,
+    and at a 62-bit prime the point order (which EdsView needs) is out of
+    reach."""
     rng = SplitMix64(seed)
     curve = random_curve(field(p), rng)
-    return SimpleNamespace(evaluator=PsiEvaluator(curve, curve.random_point(rng, nonzero_y=True)))
+    return PsiEvaluator(curve, curve.random_point(rng, nonzero_y=True))
 
 
 def test_window_dtype_follows_the_int64_bound():
@@ -258,7 +257,7 @@ def test_window_dtype_follows_the_int64_bound():
         view = _bare_view(p, 5)
         w = psi_window(view, n_max)
         assert w.dtype == dtype
-        assert w.tolist() == [view.evaluator.psi(n) for n in range(n_max + 1)]
+        assert w.tolist() == [view.psi(n) for n in range(n_max + 1)]
 
 
 def test_index_guard(f5_view):

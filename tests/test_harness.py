@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -340,6 +341,40 @@ def test_cmd_eval_index_guard(capsys):
     assert "guarded" in capsys.readouterr().err
 
 
+# cmd_sums payloads at p = 5 (A = B = 1, P = (0, 1)) and at seeded_view(1009, 3),
+# for char_order 2 and 4, cap_n None, 0, 7 and 5R, and twist_a None, 3 and
+# "all" (d = 2 only); a spectrum keeps every stride-th of its R entries
+PINNED_SUMS = json.loads((Path(__file__).parent / "data" / "cmd_sums_pinned.json").read_text())
+
+
+def _assert_pinned(got, want, err: float = 0.0) -> None:
+    """Integers and strings exactly; floats within err, the err_bound of the
+    innermost sum that carries one.  A float outside any such sum (an
+    envelope ratio of an exact count) may move by one part in 10^12 only."""
+    if isinstance(want, dict) and "stride" in want:
+        assert len(got) == want["len"]
+        _assert_pinned(got[:: want["stride"]], want["values"], err)
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        err = want.get("err_bound", err)
+        for key in want:
+            _assert_pinned(got[key], want[key], err)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_pinned(g, w, err)
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= max(err, 1e-12 * abs(want))
+    else:
+        assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SUMS))
+def test_cmd_sums_payload_pinned(case):
+    pinned = PINNED_SUMS[case]
+    _assert_pinned(harness.cmd_sums(**pinned["args"]), pinned["payload"])
+
+
 def test_cmd_sums_zero_terms():
     out = harness.cmd_sums(5, 1, 1, 0, 1, cap_n=0)
     inc = out["incomplete"]
@@ -583,8 +618,9 @@ def test_scan_worker_count_guarded_and_capped(monkeypatch, capsys):
     records = harness.cmd_scan(5, 12, threads=harness.THREADS_MAX)
     assert sizes == [3] and len(records) == 3  # primes 5, 7, 11
     assert [strip_ts(r) for r in records] == [strip_ts(r) for r in sweep_scan(5, 12)]
-    with pytest.raises(ValueError, match="worker count guarded"):
-        harness.cmd_scan(5, 12, threads=harness.THREADS_MAX + 1)
+    for threads in (harness.THREADS_MAX + 1, 0, -3):
+        with pytest.raises(ValueError, match="worker count guarded"):
+            harness.cmd_scan(5, 12, threads=threads)
     argv = ["scan", "--p-min", "5", "--p-max", "12", "--threads", str(harness.THREADS_MAX + 1)]
     assert _run(argv) == 1
     assert "worker count guarded" in capsys.readouterr().err
@@ -653,6 +689,7 @@ GUARD_ARGVS = {
     "ell even": ["verify", *_curve_args("--identity", "weil", "--ell", "4")],
     "ell 103": ["verify", *_curve_args("--identity", "weil", "--ell", "103")],
     "threads 65": ["scan", "--p-min", "5", "--p-max", "50", "--threads", "65"],
+    "threads 0": ["scan", "--p-min", "5", "--p-max", "50", "--threads", "0"],
     "trials 0": ["verify", *_curve_args("--trials", "0")],
     "trials past the bound": ["verify", *_curve_args("--trials", str(10**11))],
     "scan past the structure guard": ["scan", "--p-min", "5", "--p-max", "2000000"],

@@ -15,10 +15,10 @@ occurs in the first N terms of one window repeated with its period (R = 2r,
 or d*r): N = 0 is the empty sum, and only a negative N raises.
 
 The Weil checks evaluate chi(f(P)) on the (M, L) group grid of
-curve.group_grid, which is built by one walk of the generator combinations,
-checked pairwise distinct and cached on the curve, and take every sum from
-one ifft2 spectrum of that chi grid (a subgroup's from the spectrum of the
-grid masked to the subgroup).
+curve.group_grid, which is built by vectorized chord steps from the
+generators, checked pairwise distinct and cached on the curve, and take
+every sum from one ifft2 spectrum of that chi grid (a subgroup's from the
+spectrum of the grid masked to the subgroup).
 """
 
 from __future__ import annotations

@@ -19,11 +19,16 @@ otherwise at the first point that yields an order-L element independent of
 the order-M generator, since the two then generate all N = M*L points.
 
 The group grid holds the coordinates of every combination i*gen_m + j*gen_l
-in two (M, L) int64 arrays, built by one walk of the M*L combinations and
-checked pairwise distinct by counting the distinct codes x*p + y, so the
-generators provably give every point once.  group_structure builds, checks
-and caches it on the curve for N <= 20 000; group_grid does so on first use
-for larger groups.  The Weil-sum checks of charsum read it from there.
+in two (M, L) int64 arrays.  After a short scalar walk, column 0 is built in
+doubling blocks (the multiples [k, k + n) of gen_m are the multiples [0, n)
+plus [k]gen_m) and the other columns are column 0 plus [j]gen_l: one chord
+addition over int64 arrays per block and one for all other columns, with
+inverses gathered from one table of 1/d mod p per grid.  The grid is checked
+pairwise distinct, by a zero chord denominator and by counting the distinct
+codes x*p + y, so the generators provably give every point once.
+group_structure builds, checks and caches it on the curve for N <= 20 000;
+group_grid does so on first use for larger groups.  The Weil-sum checks of
+charsum read it from there.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import PrimeField, divisors, factorize, field
+from .field import PrimeField, divisors, factorize, field, pow_array
 from .rng import SplitMix64
 
 ENUM_ORDER_MAX = 10_000  # counting strategy switchover
@@ -42,6 +47,7 @@ ENUMERATION_MAX = 1_000_000  # hard guard for materializing all points
 ORDER_MAX = 1_000_000_000  # hard guard for any order computation
 STRUCTURE_MAX = 1_000_000  # hard guard for group-structure decomposition
 GRID_CHECK_MAX = 20_000  # group_structure checks every group up to this size
+GRID_WALK = 32  # scalar multiples of gen_m that start column 0 of a grid
 
 
 @dataclass(frozen=True)
@@ -355,8 +361,8 @@ def group_structure(curve: EllipticCurve) -> GroupStructure:
     so E = Z/M' x Z/L' and M' is the exponent.  With L' = 1 that happens at
     once.  Most curves are certified after a few points instead of all N.
     Groups with N <= GRID_CHECK_MAX are then checked exhaustively: the
-    (M, L) coordinate grid of group_grid is built, checked distinct and
-    cached on the curve.
+    (M, L) coordinate grid of group_grid is built by vectorized chord steps
+    (_build_grid), checked distinct and cached on the curve.
     """
     if curve._structure is not None:
         return curve._structure
@@ -398,27 +404,74 @@ def group_structure(curve: EllipticCurve) -> GroupStructure:
     return structure
 
 
-def _build_grid(curve: EllipticCurve, s: GroupStructure) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of i*gen_m + j*gen_l at cell (i, j) of two (M, L) int64 arrays,
-    from one walk of the M*L combinations; infinity, at (0, 0), is stored as
-    (-1, -1).  Raises if two cells hold the same point (codes x*p + y, with
-    -p - 1 for infinity, are not all distinct)."""
+def _chord(
+    curve: EllipticCurve,
+    inverses: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    qx: np.ndarray,
+    qy: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The affine cells (xs, ys) plus the affine point(s) (qx, qy), broadcast,
+    by one chord step over int64 arrays; inverses[d] is 1/d mod p.  Every
+    sum of the grid is a chord: equal abscissae mean that two generator
+    combinations collide, which raises."""
+    p = curve.p
+    den = (qx - xs) % p
+    if not den.all():
+        raise AssertionError(f"generator combinations collide on {curve!r}")
+    lam = (qy - ys) % p * inverses[den] % p
+    x3 = (lam * lam - xs - qx) % p
+    return x3, (lam * (xs - x3) - ys) % p
+
+
+def _walk(
+    curve: EllipticCurve, point: Point | None, count: int
+) -> tuple[list[int], list[int], Point | None]:
+    """Coordinates of the multiples [0, count) of point in two lists, infinity
+    as (-1, -1), and [count]point."""
     xs: list[int] = []
     ys: list[int] = []
-    col: Point | None = None
-    for _ in range(s.l):
-        q = col
-        for _ in range(s.m):
-            xs.append(-1 if q is None else q.x)
-            ys.append(-1 if q is None else q.y)
-            q = curve.add(q, s.gen_m)
-        col = curve.add(col, s.gen_l)
-    # walked column by column; stored row-major as (M, L)
-    x = np.array(xs, dtype=np.int64).reshape(s.l, s.m).T.copy()
-    y = np.array(ys, dtype=np.int64).reshape(s.l, s.m).T.copy()
+    q: Point | None = None
+    for _ in range(count):
+        xs.append(-1 if q is None else q.x)
+        ys.append(-1 if q is None else q.y)
+        q = curve.add(q, point)
+    return xs, ys, q
+
+
+def _build_grid(curve: EllipticCurve, s: GroupStructure) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of i*gen_m + j*gen_l at cell (i, j) of two (M, L) int64 arrays;
+    infinity, at (0, 0), is stored as (-1, -1).
+
+    The first GRID_WALK cells of column 0 and row 0 are scalar walks.  The
+    rest of column 0 is built in doubling blocks: cells [k, k + n) are cells
+    [0, n) plus [k]gen_m, n = min(k, M - k), one chord step per block.
+    Columns j >= 1 are column 0 plus [j]gen_l, one broadcast chord step.  On
+    a correct structure cell (0, 0) is the only sum that is not a chord
+    (i*gen_m = +-j*gen_l forces i = j = 0), so a zero denominator raises, and
+    so do codes x*p + y (-p - 1 for infinity) that are not all distinct."""
+    p, m, l = curve.p, s.m, s.l
+    x = np.empty((m, l), dtype=np.int64)
+    y = np.empty((m, l), dtype=np.int64)
+    k = min(m, GRID_WALK)
+    x[:k, 0], y[:k, 0], q = _walk(curve, s.gen_m, k)
+    # the inverse table, built only when a chord step runs below
+    inverses = pow_array(np.arange(p, dtype=np.int64), p - 2, p) if k < m or l > 1 else None
+    while k < m:
+        n = min(k, m - k)
+        x[k, 0], y[k, 0] = (-1, -1) if q is None else (q.x, q.y)
+        x[k + 1 : k + n, 0], y[k + 1 : k + n, 0] = _chord(
+            curve, inverses, x[1:n, 0], y[1:n, 0], x[k, 0], y[k, 0]
+        )
+        k += n
+        q = curve.add(q, q)
+    if l > 1:
+        x[0], y[0], _ = _walk(curve, s.gen_l, l)
+        x[1:, 1:], y[1:, 1:] = _chord(curve, inverses, x[1:, :1], y[1:, :1], x[0, 1:], y[0, 1:])
     # distinct codes counted in a set: np.unique imports numpy.ma, and both
     # it and np.sort raised the peak RSS of a scan (by about 3 and 1.4 MiB)
-    if len(set((x * curve.p + y).ravel().tolist())) != s.size:
+    if len(set((x * p + y).ravel().tolist())) != s.size:
         raise AssertionError(f"generator combinations collide on {curve!r}")
     return x, y
 

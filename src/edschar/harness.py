@@ -47,6 +47,7 @@ from .symbolic import division_poly_batch, psi_batch
 SCHEMA_VERSION = "1"
 THREADS_MAX = 64  # scan worker processes; each is forked at the pool's first submit
 TRIALS_MAX = 100_000  # verify trials per check: about 20 s at p = 1009
+SPECTRUM_EMIT_MAX = 65_536  # sums --twist-a all: R pairs of floats in one JSON payload
 
 def random_curve(fld: PrimeField, rng: SplitMix64) -> EllipticCurve:
     p = fld.p
@@ -627,8 +628,10 @@ def cmd_sums(
         out["order_d_period"] = charsum.order_d_period(view, d)
     # complete first: the incomplete sum then reads a prefix of its window
     if twist_a == "all":
-        if length > 65536:
-            raise ValueError("R too large to emit the full spectrum; pass a single twist index")
+        if length > SPECTRUM_EMIT_MAX:
+            raise ValueError(
+                f"full spectrum guarded at R <= {SPECTRUM_EMIT_MAX}; pass a single twist index"
+            )
         spec = charsum.complete_spectrum(view)
         mods = np.abs(spec)
         out["complete"] = {
@@ -858,6 +861,33 @@ def cmd_bench(seed: int = 0) -> dict:
         "complete": [comp.re, comp.im],
         "incomplete": [inc.re, inc.im],
     }
+
+    # group structure plus its exhaustively checked (M, L) grid, on the first
+    # cyclic and the first non-cyclic seeded curve at a prime whose groups
+    # all stay within GRID_CHECK_MAX (N <= p + 1 + 2 sqrt(p) < 20 000); the
+    # median of three builds, each on a fresh curve object
+    p_g = largest_prime_below(19_700)
+    rng = stream(seed, p_g)
+    shapes: dict[bool, EllipticCurve] = {}
+    while len(shapes) < 2:
+        curve = random_curve(field(p_g), rng)
+        shapes.setdefault(group_structure(curve).l > 1, curve)
+    out["group_grid"] = {}
+    for noncyclic, curve in sorted(shapes.items()):
+        times = []
+        for _ in range(3):
+            fresh = EllipticCurve(curve.field, curve.a, curve.b)
+            t0 = time.perf_counter()
+            s = group_structure(fresh)
+            times.append(time.perf_counter() - t0)
+        out["group_grid"]["noncyclic" if noncyclic else "cyclic"] = {
+            "p": p_g,
+            "a": curve.a,
+            "b": curve.b,
+            "m": s.m,
+            "l": s.l,
+            "seconds": sorted(times)[len(times) // 2],
+        }
 
     # shift-identity reconstruction of the same huge index at a 9-digit prime
     p9 = largest_prime_below(1_000_000_000)

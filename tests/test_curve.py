@@ -264,6 +264,75 @@ def test_group_grid_cells_are_the_generator_combinations():
                     assert (int(xs[i, j]), int(ys[i, j])) == want
 
 
+# (p, A, B) with their (M, L): M spans several doubling blocks of column 0,
+# at and around powers of two, and L runs from 1 to 7
+GRID_CURVES = {
+    (63, 3): (181, 4, 15),
+    (64, 1): (53, 1, 6),
+    (64, 4): (229, 2, 24),
+    (65, 5): (311, 6, 10),
+    (127, 1): (107, 1, 25),
+    (128, 2): (227, 1, 30),
+    (129, 3): (367, 3, 39),
+    (255, 3): (727, 1, 20),
+    (256, 1): (227, 1, 7),
+    (257, 1): (227, 16, 37),
+    (511, 1): (467, 6, 17),
+    (512, 1): (479, 2, 8),
+    (513, 1): (479, 2, 16),
+    (60, 6): (331, 8, 3),
+    (84, 7): (617, 21, 19),
+}
+
+
+@pytest.mark.parametrize("shape", GRID_CURVES, ids=[f"M{m}-L{l}" for m, l in GRID_CURVES])
+def test_group_grid_matches_plain_loop_oracle(shape):
+    curve = EllipticCurve(*GRID_CURVES[shape])
+    s, xs, ys = group_grid(curve)
+    assert (s.m, s.l) == shape and xs.shape == ys.shape == shape
+    for i in range(s.m):
+        for j in range(s.l):
+            q = curve.add(curve.mul(i, s.gen_m), curve.mul(j, s.gen_l))
+            want = (-1, -1) if q is None else (q.x, q.y)
+            assert (int(xs[i, j]), int(ys[i, j])) == want
+
+
+def _fake_structure(curve, m, l, gen_m, gen_l):
+    curve._structure = GroupStructure(m=m, l=l, gen_m=gen_m, gen_l=gen_l, size=m * l)
+    curve._grid = None
+
+
+@pytest.mark.parametrize("step", ["doubling block", "column"])
+def test_group_grid_collision_caught_by_zero_denominator(step):
+    if step == "doubling block":
+        # a generator of order 48 claimed to have order 96: in the block at
+        # k = 32, cell 16 + [32]gen_m is 16*gen_m - 16*gen_m
+        curve = EllipticCurve(field(37), 1, 1)
+        s = group_structure(curve)
+        assert (s.m, s.l) == (48, 1)
+        _fake_structure(curve, 96, 1, s.gen_m, None)
+    else:
+        # Z/64 x Z/4 with gen_l = 16 gen_m, which lies in <gen_m>
+        curve = EllipticCurve(field(229), 2, 24)
+        s = group_structure(curve)
+        _fake_structure(curve, 64, 4, s.gen_m, curve.mul(16, s.gen_m))
+    with pytest.raises(AssertionError, match="generator combinations collide") as info:
+        group_grid(curve)
+    assert info.traceback[-1].name == "_chord"
+
+
+def test_group_grid_collision_caught_by_code_count():
+    # a generator of order 9 claimed to have order 18: the scalar walk meets
+    # infinity again at cell 9, where no chord step runs
+    curve = EllipticCurve(field(5), 1, 1)
+    s = group_structure(curve)
+    assert (s.m, s.l) == (9, 1) and curve_module.GRID_WALK >= 18
+    _fake_structure(curve, 18, 1, s.gen_m, None)
+    with pytest.raises(AssertionError, match="generator combinations collide") as info:
+        group_grid(curve)
+    assert info.traceback[-1].name == "_build_grid"
+
+
 def test_group_grid_collision_raises():
     # Z/4 x Z/2 with gen_l = 2 gen_m, which lies in <gen_m>
     curve = EllipticCurve(field(5), -1, 0)

@@ -187,6 +187,15 @@ def test_sweep_scan_records_golden():
     )
 
 
+def test_sweep_scan_records_pinned_within_err_bound():
+    # the golden hash pins the spectrum floats bit for bit, which holds on
+    # one numpy build; this holds on any: integers and structure exactly,
+    # max_modulus, trivial_gap and envelope_ratio within the spectrum's
+    # err_bound of the values recorded in tests/data
+    records = [strip_ts(r) for r in sweep_scan(5, 1000, seed=2024)]
+    _assert_pinned(records, PINNED_SCAN)
+
+
 def test_sweep_weil_one_tower_per_ell(monkeypatch):
     calls = []
     build = harness.division_poly_batch
@@ -345,6 +354,8 @@ def test_cmd_eval_index_guard(capsys):
 # for char_order 2 and 4, cap_n None, 0, 7 and 5R, and twist_a None, 3 and
 # "all" (d = 2 only); a spectrum keeps every stride-th of its R entries
 PINNED_SUMS = json.loads((Path(__file__).parent / "data" / "cmd_sums_pinned.json").read_text())
+# the records of sweep_scan(5, 1000, seed=2024) without ts, one per line
+PINNED_SCAN = json.loads((Path(__file__).parent / "data" / "scan_2024_p1000.json").read_text())
 
 
 def _assert_pinned(got, want, err: float = 0.0) -> None:
@@ -458,6 +469,14 @@ def test_cmd_sums_order_d_spectrum_refused(capsys):
         argv += [flag, str(value)]
     assert _run(argv + ["--twist-a", "all", "--char-order", "4"]) == 1
     assert "quadratic-only" in capsys.readouterr().err
+
+
+def test_cmd_sums_full_spectrum_guard_is_named():
+    view = seeded_view(99_991, 0)
+    assert view.window_length > harness.SPECTRUM_EMIT_MAX
+    args = (99_991, view.curve.a, view.curve.b, view.point.x, view.point.y)
+    with pytest.raises(ValueError, match=r"full spectrum guarded at R <= 65536; pass a single"):
+        harness.cmd_sums(*args, twist_a="all")
 
 
 def test_cmd_sums_chi_period_is_the_measured_period(f5_view, f5_r7_view):
@@ -693,6 +712,11 @@ GUARD_ARGVS = {
     "trials 0": ["verify", *_curve_args("--trials", "0")],
     "trials past the bound": ["verify", *_curve_args("--trials", str(10**11))],
     "scan past the structure guard": ["scan", "--p-min", "5", "--p-max", "2000000"],
+    # seeded_view(99991, 0): R = 100 502
+    "full spectrum past R = 65536": [
+        "sums", "--p", "99991", "--a", "69429", "--b", "90472", "--px", "82050", "--py", "8062",
+        "--twist-a", "all",
+    ],
 }
 
 

@@ -12,7 +12,9 @@ full-group sums.
 
 An incomplete sum, quadratic or of order d, counts how often each value
 occurs in the first N terms of one window repeated with its period (R = 2r,
-or d*r): N = 0 is the empty sum, and only a negative N raises.
+or d*r): N = 0 is the empty sum; N < 0 and N >= 2**512 raise.  The chi
+window and the order-d exponent windows are kept on the view (EdsView.windows),
+one per character, and freed with it; the module keeps no cache of its own.
 
 The Weil checks evaluate chi(f(P)) on the (M, L) group grid of
 curve.group_grid, which is built by vectorized chord steps from the
@@ -24,13 +26,12 @@ spectrum of the grid masked to the subgroup).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import EllipticCurve, Point, group_grid
-from .eds import EdsView, psi_window
+from .eds import INDEX_LIMIT, EdsView, least_shift, psi_window
 from .symbolic import division_poly_tower, horner
 
 TWO_PI = 2.0 * math.pi
@@ -43,11 +44,6 @@ TERM_ERR = 2.0**-40
 WINDOW_MAX = 20_000_000  # longest character window we will materialize
 COMPLETE_MAX = 10_000_000  # largest R for complete-sum evaluation
 SUBGROUP_ORDER_MAX = 4  # largest subgroup order small_character_subgroups lists
-
-_window_cache: "weakref.WeakKeyDictionary[EdsView, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
-_exponent_cache: "weakref.WeakKeyDictionary[EdsView, tuple]" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -67,19 +63,22 @@ class ComplexSum:
         return abs(self.value)
 
 
+def _kept_window(view: EdsView, key, n_terms: int, values) -> np.ndarray:
+    """values(psi_1 .. psi_n_terms), kept in view.windows under key: a later
+    call for at most as many terms returns a prefix of it.  Read-only, so
+    that writing into a returned slice raises instead of corrupting it."""
+    kept = view.windows.get(key)
+    if kept is None or len(kept) < n_terms:
+        kept = view.windows[key] = values(psi_window(view, n_terms)[1:])
+        kept.flags.writeable = False
+    return kept[:n_terms]
+
+
 def chi_window(view: EdsView, n_terms: int) -> np.ndarray:
     """chi(psi_n) for n = 1..n_terms as a read-only int8 array (index n-1)."""
-    cached = _window_cache.get(view)
-    if cached is not None and len(cached) >= n_terms:
-        return cached[:n_terms]
     if n_terms > WINDOW_MAX:
         raise ValueError(f"character window guarded at {WINDOW_MAX} terms")
-    out = view.curve.field.chi_array(psi_window(view, n_terms)[1:])
-    # read-only, so that a caller writing into a returned slice raises
-    # instead of corrupting the cached window
-    out.flags.writeable = False
-    _window_cache[view] = out
-    return out
+    return _kept_window(view, "chi", n_terms, view.curve.field.chi_array)
 
 
 def chi_period(view: EdsView) -> int:
@@ -98,9 +97,12 @@ def _periodic_counts(window, period: int, n_terms: int, count) -> list[int]:
     """Per-value tallies of the first n_terms terms of a sequence of the given
     period, from window(k), its first k terms.  count(terms) tallies an array;
     tallies add over concatenation, so a whole period is counted once and
-    scaled, in Python ints.  0 terms tally zero; only n_terms < 0 raises."""
+    scaled, in Python ints.  0 terms tally zero; n_terms < 0 raises, and so
+    does n_terms >= 2**512 (float sums of larger tallies overflow)."""
     if n_terms < 0:
         raise ValueError(f"n_terms must be >= 0, got {n_terms}")
+    if n_terms >= INDEX_LIMIT:
+        raise ValueError("incomplete sums guarded at n_terms < 2**512")
     cycles, rest = divmod(n_terms, period)
     terms = window(min(n_terms, period))
     tally = count(terms[:rest]).tolist()
@@ -198,17 +200,12 @@ def incomplete_envelope(window_length: int, q: int) -> float:
 def order_d_exponents(view: EdsView, d: int, n_terms: int) -> np.ndarray:
     """Exponent j of chi_d(psi_n) = e(j/d) for n = 1..n_terms; -1 at zeros.
 
-    Read-only; like :func:`chi_window`, cached per view (for the latest d).
+    Read-only; like :func:`chi_window`, kept on the view, one window per d.
     """
-    cached_d, cached = _exponent_cache.get(view, (None, None))
-    if cached_d == d and len(cached) >= n_terms:
-        return cached[:n_terms]
     if n_terms > COMPLETE_MAX:
         raise ValueError("order-d window exceeds the desk-scale guard")
-    out = view.curve.field.dchar_exponent_array(psi_window(view, n_terms)[1:], d)
-    out.flags.writeable = False
-    _exponent_cache[view] = (d, out)
-    return out
+    fld = view.curve.field
+    return _kept_window(view, d, n_terms, lambda psi: fld.dchar_exponent_array(psi, d))
 
 
 def order_d_period(view: EdsView, d: int) -> int:
@@ -217,11 +214,7 @@ def order_d_period(view: EdsView, d: int) -> int:
     fld = view.curve.field
     alpha = fld.dchar_exponent(view.mult_a, d)
     beta = fld.dchar_exponent(view.mult_b, d)
-    s1 = d // math.gcd(alpha, d)
-    s = s1
-    while (s * s * beta) % d != 0:
-        s += s1
-    return view.r * s
+    return view.r * least_shift(d // math.gcd(alpha, d), d // math.gcd(beta, d))
 
 
 def order_d_sums(view: EdsView, d: int, mode: str, x: int) -> ComplexSum:

@@ -23,12 +23,13 @@ in two (M, L) int64 arrays.  After a short scalar walk, column 0 is built in
 doubling blocks (the multiples [k, k + n) of gen_m are the multiples [0, n)
 plus [k]gen_m) and the other columns are column 0 plus [j]gen_l: one chord
 addition over int64 arrays per block and one for all other columns, with
-inverses gathered from one table of 1/d mod p per grid.  The grid is checked
-pairwise distinct, by a zero chord denominator and by counting the distinct
-codes x*p + y, so the generators provably give every point once.
+inverses gathered from the field's 1/x table, one per prime.  The grid is
+checked pairwise distinct, by a zero chord denominator and by counting the
+distinct codes x*p + y, so the generators provably give every point once.
 group_structure builds, checks and caches it on the curve for N <= 20 000;
 group_grid does so on first use for larger groups.  The Weil-sum checks of
-charsum read it from there.
+charsum read it from there.  The order, structure and grid are freed with
+the curve.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import PrimeField, divisors, factorize, field, pow_array
+from .field import PrimeField, divisors, factorize, field
 from .rng import SplitMix64
 
 ENUM_ORDER_MAX = 10_000  # counting strategy switchover
@@ -405,22 +406,17 @@ def group_structure(curve: EllipticCurve) -> GroupStructure:
 
 
 def _chord(
-    curve: EllipticCurve,
-    inverses: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    qx: np.ndarray,
-    qy: np.ndarray,
+    curve: EllipticCurve, xs: np.ndarray, ys: np.ndarray, qx: np.ndarray, qy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The affine cells (xs, ys) plus the affine point(s) (qx, qy), broadcast,
-    by one chord step over int64 arrays; inverses[d] is 1/d mod p.  Every
-    sum of the grid is a chord: equal abscissae mean that two generator
-    combinations collide, which raises."""
+    by one chord step over int64 arrays, with inverses gathered from the
+    field's 1/x table.  Every sum of the grid is a chord: equal abscissae
+    mean that two generator combinations collide, which raises."""
     p = curve.p
     den = (qx - xs) % p
     if not den.all():
         raise AssertionError(f"generator combinations collide on {curve!r}")
-    lam = (qy - ys) % p * inverses[den] % p
+    lam = (qy - ys) % p * curve.field.inverse_table()[den] % p
     x3 = (lam * lam - xs - qx) % p
     return x3, (lam * (xs - x3) - ys) % p
 
@@ -456,19 +452,17 @@ def _build_grid(curve: EllipticCurve, s: GroupStructure) -> tuple[np.ndarray, np
     y = np.empty((m, l), dtype=np.int64)
     k = min(m, GRID_WALK)
     x[:k, 0], y[:k, 0], q = _walk(curve, s.gen_m, k)
-    # the inverse table, built only when a chord step runs below
-    inverses = pow_array(np.arange(p, dtype=np.int64), p - 2, p) if k < m or l > 1 else None
     while k < m:
         n = min(k, m - k)
         x[k, 0], y[k, 0] = (-1, -1) if q is None else (q.x, q.y)
         x[k + 1 : k + n, 0], y[k + 1 : k + n, 0] = _chord(
-            curve, inverses, x[1:n, 0], y[1:n, 0], x[k, 0], y[k, 0]
+            curve, x[1:n, 0], y[1:n, 0], x[k, 0], y[k, 0]
         )
         k += n
         q = curve.add(q, q)
     if l > 1:
         x[0], y[0], _ = _walk(curve, s.gen_l, l)
-        x[1:, 1:], y[1:, 1:] = _chord(curve, inverses, x[1:, :1], y[1:, :1], x[0, 1:], y[0, 1:])
+        x[1:, 1:], y[1:, 1:] = _chord(curve, x[1:, :1], y[1:, :1], x[0, 1:], y[0, 1:])
     # distinct codes counted in a set: np.unique imports numpy.ma, and both
     # it and np.sort raised the peak RSS of a scan (by about 3 and 1.4 MiB)
     if len(set((x * p + y).ravel().tolist())) != s.size:

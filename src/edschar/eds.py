@@ -19,12 +19,12 @@ Three evaluation strategies are provided.  :class:`PsiEvaluator` walks an
 8-term block of consecutive values down the bits of n with the halving
 recurrences (one step per bit, constant memory, no memo and no recursion;
 usable for |n| < 2**512); :class:`EdsView` is a PsiEvaluator that also holds
-the point order r and the order-shift constants.  :func:`psi_window` takes
-any evaluator and applies the same recurrences bottom-up to build
-psi_0 .. psi_N as a numpy array, one whole level of indices per step,
-dividing only by psi_2 (int64 when (p - 1)^2 < 2^63, object dtype above).
-The stream :func:`psi_sequence` advances one index at a time with the
-four-term recurrence
+the point order r, the order-shift constants and the character windows built
+from it (so they are freed with it).  :func:`psi_window` takes any evaluator
+and applies the same recurrences bottom-up to build psi_0 .. psi_N as a numpy
+array, one whole level of indices per step, dividing only by psi_2 (int64
+when (p - 1)^2 < 2^63, object dtype above).  The stream :func:`psi_sequence`
+advances one index at a time with the four-term recurrence
 
     psi_{n+2} psi_{n-2} = psi_{n+1} psi_{n-1} psi_2^2 - psi_3 psi_n^2,
 
@@ -36,6 +36,7 @@ cross-check them against each other, against the x-only recursion
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -188,7 +189,7 @@ class EdsView(PsiEvaluator):
     cross-checked at construction.
     """
 
-    __slots__ = ("r", "mult_a", "mult_b", "__weakref__")
+    __slots__ = ("r", "mult_a", "mult_b", "windows")
 
     def __init__(self, curve: EllipticCurve, point: Point, r: int | None = None):
         super().__init__(curve, point)
@@ -199,6 +200,7 @@ class EdsView(PsiEvaluator):
         elif any(self.psi(r // q) == 0 for q in factorize(r)):  # [r/q]P = O
             raise ValueError(f"r = {r} is a multiple of the order of {point}")
         self.r = r
+        self.windows: dict = {}  # charsum's character windows, one per character
         p, psi2 = self.p, self.psi2
         _, w_b2, w_b1, w_r, w_a1, w_a2, _, _ = self._block(r)
         if w_r != 0:
@@ -393,24 +395,27 @@ class SequencePeriod:
     shift_steps: int
 
 
+def least_shift(a_order: int, b_order: int) -> int:
+    """The least s >= 1 with a_order | s and b_order | s^2, the product of
+    q^max(v_q(a_order), ceil(v_q(b_order) / 2)): for the orders of the shift
+    constants (or of their character values), the shifts by r that fix psi_n."""
+    root = 1
+    for q, e in factorize(b_order).items():
+        root *= q ** ((e + 1) // 2)
+    return math.lcm(a_order, root)
+
+
 def sequence_period(view: EdsView, spot_checks: int = 100, seed: int = 0) -> SequencePeriod:
     """Exact period T = r * s0 of the full sequence.
 
-    s0 is the least s >= 1 with a^s = 1 and b^(s^2) = 1, computed prime by
-    prime from the multiplicative orders of the shift constants; since both
-    orders divide p - 1, T divides r(p - 1).  The result is spot-checked by
+    s0 is the least s >= 1 with a^s = 1 and b^(s^2) = 1, the least_shift of
+    the multiplicative orders of the shift constants; since both orders
+    divide p - 1, T divides r(p - 1).  The result is spot-checked by
     comparing psi_{n+T} with psi_n at `spot_checks` indices drawn from
     SplitMix64(seed).
     """
     fld = view.curve.field
-    ord_a = fld.element_order(view.mult_a)
-    ord_b = fld.element_order(view.mult_b)
-    need: dict[int, int] = dict(factorize(ord_a))
-    for q, e in factorize(ord_b).items():
-        need[q] = max(need.get(q, 0), (e + 1) // 2)
-    s0 = 1
-    for q, e in need.items():
-        s0 *= q**e
+    s0 = least_shift(fld.element_order(view.mult_a), fld.element_order(view.mult_b))
     total = view.r * s0
     rng = SplitMix64(seed)
     for _ in range(spot_checks):

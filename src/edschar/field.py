@@ -5,14 +5,18 @@ Keeping elements unwrapped (no element class) matters here: the sequence
 generators in :mod:`edschar.eds` run millions of multiply/reduce steps in
 tight loops, and attribute dispatch would dominate the runtime.  The
 :class:`PrimeField` object carries the modulus, derived constants and lazy
-caches (quadratic-character and discrete-log tables, factorization of p-1,
-primitive root, one order-d root table per character order d).
+caches (quadratic-character, discrete-log and 1/x tables, factorization of
+p-1, primitive root, one order-d root table per character order d).
+The tables live on the field and are freed with it; :func:`field` keeps
+the FIELD_CACHE_SIZE most recently used fields (at p near 10**6 a field's chi
+table is 1 MiB, its 1/x table 4 MiB).
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -29,6 +33,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 # per call, and arrays of characters to one square-and-multiply (pow_array).
 # Order-d root tables are guarded at d up to the same bound.
 _CHI_TABLE_MAX = 1 << 22
+
+FIELD_CACHE_SIZE = 32  # fields shared by field(), least recently used evicted
 
 
 def is_probable_prime(n: int) -> bool:
@@ -134,6 +140,7 @@ class PrimeField:
         "p",
         "half",
         "_chi_table",
+        "_inverse_table",
         "_p1_factors",
         "_primitive_root",
         "_nonresidue",
@@ -151,6 +158,7 @@ class PrimeField:
         self.p = p
         self.half = (p - 1) // 2
         self._chi_table: np.ndarray | None = None
+        self._inverse_table: np.ndarray | None = None
         self._p1_factors: dict[int, int] | None = None
         self._primitive_root: int | None = None
         self._nonresidue: int | None = None
@@ -199,6 +207,16 @@ class PrimeField:
             return self.chi_table()[values]
         exps = self.dchar_exponent_array(values, 2)
         return np.where(exps < 0, 0, 1 - 2 * exps).astype(np.int8)
+
+    def inverse_table(self) -> np.ndarray:
+        """int32 lookup table of 1/x mod p, length p, entry 0 unused (small p only)."""
+        if self._inverse_table is None:
+            p = self.p
+            if p > _CHI_TABLE_MAX:
+                raise ValueError(f"inverse table guarded at p <= {_CHI_TABLE_MAX}")
+            xs = np.arange(p, dtype=np.int64)
+            self._inverse_table = pow_array(xs, p - 2, p).astype(np.int32)
+        return self._inverse_table
 
     def sqrt(self, x: int) -> int | None:
         """A square root of x in F_p (the smaller of the pair), or None.
@@ -388,18 +406,10 @@ def pow_array(values: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-_field_cache: dict[int, PrimeField] = {}
-
-
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def field(p: int) -> PrimeField:
     """Shared PrimeField instance per modulus (reuses lazy tables across callers)."""
-    f = _field_cache.get(p)
-    if f is None:
-        f = PrimeField(p)
-        if len(_field_cache) > 4096:
-            _field_cache.clear()
-        _field_cache[p] = f
-    return f
+    return PrimeField(p)
 
 
 def primes_in(lo: int, hi: int) -> list[int]:

@@ -189,7 +189,7 @@ def _check_view_small(view: EdsView, s_max: int, stats: dict, deep_period: bool)
         stats["failures"].append({"view": repr(view), "check": "chi-period"})
         return
     predicted = charsum.order_d_period(view, 2)
-    if found != predicted or (2 * r) % found != 0:
+    if found != predicted:
         stats["failures"].append(
             {
                 "view": repr(view),
@@ -733,14 +733,10 @@ def cmd_verify(
         return failed
 
     def chk_period() -> int:
-        sp = sequence_period(view, spot_checks=min(trials, 100), seed=seed)
-        period = charsum.chi_period(view)
-        ok = (
-            (2 * view.r) % period == 0
-            and period == charsum.order_d_period(view, 2)
-            and sp.total % view.r == 0
-        )
-        return 0 if ok else 1
+        # the spot checks of sequence_period raise on a wrong period; chi_period
+        # is r or 2r by construction, so only the prediction can fail
+        sequence_period(view, spot_checks=min(trials, 100), seed=seed)
+        return int(charsum.chi_period(view) != charsum.order_d_period(view, 2))
 
     def chk_weil() -> int:
         failed = 0

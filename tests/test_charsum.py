@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from edschar import charsum as charsum_module
 from edschar.charsum import (
     WEIL_ELL_MAX,
     WINDOW_MAX,
@@ -168,10 +169,14 @@ def test_bias_report_periodic_extension(f5_view):
         signs.count(0),
     )
     assert rep.zero == n // 9  # zeros land exactly on the multiples of the point order
-    # 0 terms is the empty report; only a negative count raises
+    # 0 terms is the empty report; a negative count raises, and so does one
+    # past the sequence-index guard
     assert bias_report(f5_view, 0) == BiasReport(0, 0, 0, 0, 0, 0.0)
     with pytest.raises(ValueError, match="n_terms must be >= 0"):
         bias_report(f5_view, -1)
+    assert bias_report(f5_view, 2**512 - 1).n_terms == 2**512 - 1
+    with pytest.raises(ValueError, match="guarded at n_terms < 2"):
+        bias_report(f5_view, 2**512)
 
 
 # -- complete sums and the spectrum -------------------------------------------------------
@@ -318,10 +323,14 @@ def test_order_d_rejects_bad_order(f5_view):
         order_d_sums(f5_view, 0, "incomplete", 5)
     with pytest.raises(ValueError):
         order_d_sums(f5_view, 2, "partial", 5)
-    # 0 terms is the empty sum; only a negative count raises
+    # 0 terms is the empty sum; a negative count raises, and so does one
+    # past the sequence-index guard (its tallies would overflow the floats)
     assert order_d_sums(f5_view, 2, "incomplete", 0) == ComplexSum(0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="n_terms must be >= 0"):
         order_d_sums(f5_view, 2, "incomplete", -1)
+    assert math.isfinite(order_d_sums(f5_view, 4, "incomplete", 2**512 - 1).re)
+    with pytest.raises(ValueError, match="guarded at n_terms < 2"):
+        order_d_sums(f5_view, 4, "incomplete", 10**400)
 
 
 def test_order_d_exponents_and_period():
@@ -367,6 +376,29 @@ def test_order_d_exponents_gather_without_per_term_calls(monkeypatch):
         exps = order_d_exponents(view, d, n)
         assert exps.dtype == np.int64
         assert exps.tolist() == want
+
+
+def test_windows_kept_per_character_on_the_view(monkeypatch):
+    # d = 3, then 4, then 3 again: each exponent window is built once, and
+    # the chi window is kept beside them
+    view = seeded_view(1009, 3)  # 1008 = 2^4 * 3^2 * 7
+    built = []
+
+    def counting(ev, n_max):
+        built.append(n_max)
+        return psi_window(ev, n_max)
+
+    monkeypatch.setattr(charsum_module, "psi_window", counting)
+    first = [order_d_exponents(view, d, 3 * view.r) for d in (3, 4)]
+    assert built == [3 * view.r] * 2
+    assert np.array_equal(order_d_exponents(view, 3, 3 * view.r), first[0])
+    assert np.array_equal(order_d_exponents(view, 4, view.r), first[1][: view.r])
+    assert len(built) == 2
+    chi_window(view, view.r)
+    chi_window(view, 5)
+    assert built == [3 * view.r] * 2 + [view.r]
+    assert np.array_equal(order_d_exponents(view, 3, 3 * view.r), first[0])
+    assert len(built) == 3
 
 
 def test_order_d_incomplete_oracle():

@@ -16,6 +16,7 @@ from edschar.eds import (
     SCALAR_LEVELS,
     EdsView,
     PsiEvaluator,
+    least_shift,
     psi_sequence,
     psi_window,
     recurrence_residual,
@@ -24,7 +25,7 @@ from edschar.eds import (
     verify_shift_identity,
     x_only_psi,
 )
-from edschar.field import field
+from edschar.field import divisors, field
 from edschar.harness import largest_prime_below, random_curve, seeded_view
 from edschar.rng import SplitMix64
 
@@ -427,6 +428,14 @@ def test_sequence_period_matches_brute_force(f5_view, f5_r7_view):
         assert sp.total == view.r * sp.shift_steps
         assert sp.total % view.r == 0
         assert sp.total <= view.r * (view.curve.p - 1)
+
+
+def test_least_shift_brute_force():
+    divs = divisors(720)
+    for a in divs:
+        for b in divs:
+            brute = next(s for s in range(a, a * b + 1, a) if s * s % b == 0)
+            assert least_shift(a, b) == brute, (a, b)
 
 
 def test_sequence_period_r7_value(f5_r7_view):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edschar.field import (
+    FIELD_CACHE_SIZE,
     PrimeField,
     _powers,
     divisors,
@@ -42,6 +43,22 @@ def test_accepts_large_prime_below_cap():
 def test_field_cache_returns_same_instance():
     assert field(13) is field(13)
     assert field(13) == PrimeField(13)
+
+
+def test_field_cache_is_bounded():
+    # more distinct primes than the cache holds: the least recently used go
+    for p in primes_in(10_000, 20_000)[: FIELD_CACHE_SIZE + 10]:
+        field(p).chi_table()
+    assert field.cache_info().currsize <= FIELD_CACHE_SIZE
+    assert field.cache_info().maxsize == FIELD_CACHE_SIZE
+
+
+def test_inverse_table():
+    table = F1009.inverse_table()
+    assert table is F1009.inverse_table()  # built once, kept on the field
+    assert all(x * int(table[x]) % 1009 == 1 for x in range(1, 1009))
+    with pytest.raises(ValueError, match="inverse table guarded"):
+        PrimeField(4_194_319).inverse_table()
 
 
 # -- quadratic character -----------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,24 @@ def test_sweep_weil_walks_each_group_once(monkeypatch):
     monkeypatch.setattr(curve_module, "_build_grid", counted)
     stats = harness.sweep_weil(5, 7)
     assert len(walks) == len(set(walks)) == stats["curves"] == 62
+
+
+def test_sweep_weil_one_inverse_table_per_prime(monkeypatch):
+    # every curve of a prime shares the field's 1/x table; a cleared field
+    # cache makes each prime build its table here
+    built = []
+    field_module = import_module("edschar.field")  # the package exports field()
+    powers = field_module.pow_array
+
+    def counted(values, e, p):
+        built.append(p)
+        return powers(values, e, p)
+
+    monkeypatch.setattr(field_module, "pow_array", counted)
+    field.cache_clear()
+    stats = harness.sweep_weil(5, 19)
+    assert built == [5, 7, 11, 13, 17, 19]
+    assert stats["curves"] == 942
 
 
 def test_sweep_weil_lists_subgroups_once_per_shape(monkeypatch):

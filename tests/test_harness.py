@@ -350,6 +350,48 @@ def test_sweep_oracle_random_smoke():
     }
 
 
+# seed -> (views drawn, of them None, sha256 of the draws, edge_infinity,
+# edge_two_torsion); seed 3 draws two curves of all-2-torsion points at p = 5
+DRAW_PINS = {
+    0: (642, 0, "789209b696366aed40b98e593c137e8c5b6c9bafd7f87dcaabb4d75b2fe3ccda", 40, 8),
+    1: (642, 0, "dc3e5fac086e8e80b4b293b7cf1df576a91a24bb1749efd08a157bd09dd60803", 34, 13),
+    3: (644, 2, "a733829c59767ee30f0f311ceaaac31e81c36f0eadab06499b89d8c8d7f59d7b", 40, 12),
+    2024: (642, 0, "1461f72b2bc0ceaa65b3372b0ec057f6fb31bb2712ad99f1c95a8170dee550ab", 39, 9),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DRAW_PINS))
+def test_randomized_sweeps_draw_pinned_views(seed, monkeypatch):
+    # every (curve, point) the three randomized drivers draw, in order: the
+    # smoke tests above would not see a change of draw order, since they
+    # find no failure to report
+    draws = []
+    draw = harness.random_view
+
+    def recorded(curve, rng):
+        view = draw(curve, rng)
+        point = [] if view is None else [view.point.x, view.point.y]
+        draws.append([curve.p, curve.a, curve.b, *point])
+        return view
+
+    monkeypatch.setattr(harness, "random_view", recorded)
+    rec = harness.sweep_recurrence(300, seed=seed)
+    idx = harness.sweep_index_product(300, seed=seed, edge_trials=40)
+    orc = harness.sweep_oracle_random(2, seed=seed, n_max=300)
+    n, n_none, digest, edge_inf, edge_two = DRAW_PINS[seed]
+    assert len(draws) == n and sum(len(d) == 3 for d in draws) == n_none
+    assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == digest
+    assert rec == {"tuples": 300, "views": 300, "failures": []}
+    assert idx == {
+        "trials": 300,
+        "edge_trials": 40,
+        "edge_infinity": edge_inf,
+        "edge_two_torsion": edge_two,
+        "failures": [],
+    }
+    assert orc == {"curves": 2, "values": 632, "failures": []}
+
+
 # -- command payloads ----------------------------------------------------------------------
 
 

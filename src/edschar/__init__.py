@@ -38,7 +38,6 @@ from .curve import (
     curve_order,
     enumerate_points,
     group_structure,
-    max_order_point,
     point_order,
 )
 from .eds import (
@@ -86,7 +85,6 @@ __all__ = [
     "incomplete_envelope",
     "incomplete_sum",
     "is_probable_prime",
-    "max_order_point",
     "order_d_period",
     "order_d_sums",
     "point_order",

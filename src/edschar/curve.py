@@ -44,11 +44,15 @@ from .field import PrimeField, divisors, factorize, field
 from .rng import SplitMix64
 
 ENUM_ORDER_MAX = 10_000  # counting strategy switchover
-ENUMERATION_MAX = 1_000_000  # hard guard for materializing all points
 ORDER_MAX = 1_000_000_000  # hard guard for any order computation
-STRUCTURE_MAX = 1_000_000  # hard guard for group-structure decomposition
+STRUCTURE_MAX = 1_000_000  # hard guard for group structure and for listing all points
 GRID_CHECK_MAX = 20_000  # group_structure checks every group up to this size
 GRID_WALK = 32  # scalar multiples of gen_m that start column 0 of a grid
+
+
+def is_nonsingular(p: int, a: int, b: int) -> bool:
+    """Whether y^2 = x^3 + Ax + B is nonsingular over F_p, an elliptic curve."""
+    return (4 * a * a * a + 27 * b * b) % p != 0
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ class EllipticCurve:
         self.p = f.p
         self.a = a % f.p
         self.b = b % f.p
-        if (4 * self.a**3 + 27 * self.b**2) % f.p == 0:
+        if not is_nonsingular(f.p, self.a, self.b):
             raise ValueError(
                 f"singular curve: 4A^3 + 27B^2 = 0 mod {f.p} for A={self.a}, B={self.b}"
             )
@@ -171,7 +175,7 @@ def all_curves(fld: PrimeField):
     p = fld.p
     for a in range(p):
         for b in range(p):
-            if (4 * a * a * a + 27 * b * b) % p:
+            if is_nonsingular(p, a, b):
                 yield EllipticCurve(fld, a, b)
 
 
@@ -184,9 +188,9 @@ def affine_points(curve: EllipticCurve):
 
 def enumerate_points(curve: EllipticCurve) -> list[Point | None]:
     """All points, infinity first, affine points in (x, y) lexicographic order."""
-    if curve.p > ENUMERATION_MAX:
+    if curve.p > STRUCTURE_MAX:
         raise ValueError(
-            f"point enumeration guarded at p <= {ENUMERATION_MAX}; "
+            f"point enumeration guarded at p <= {STRUCTURE_MAX}; "
             "use random_point sampling instead"
         )
     return [None, *affine_points(curve)]
@@ -480,8 +484,3 @@ def group_grid(curve: EllipticCurve) -> tuple[GroupStructure, np.ndarray, np.nda
         curve._grid = _build_grid(curve, s)
     return (s, *curve._grid)
 
-
-def max_order_point(curve: EllipticCurve) -> tuple[Point, int]:
-    """First point in (x, y)-lex order whose order equals the group exponent."""
-    s = group_structure(curve)
-    return s.gen_m, s.m

@@ -2,10 +2,12 @@
 
 Every randomized driver takes an integer seed and derives per-prime streams
 with a fixed splitmix64 generator, so runs are reproducible across platforms,
-Python versions, and worker counts.  Scan output is a list of JSON-ready
-records with a fixed schema (see make_record), one per prime in ascending
-order whatever the worker count, so multi-process runs are byte-identical to
-single-process runs apart from the "ts" wall-clock field.
+Python versions, and worker counts.  The three randomized sweeps draw each
+view with _draw_view: a prime, a curve and a point with y != 0, all three
+drawn again when the curve has no such point.  Scan output is a list of
+JSON-ready records with a fixed schema (see make_record), one per prime in
+ascending order whatever the worker count, so multi-process runs are
+byte-identical to single-process runs apart from the "ts" wall-clock field.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .curve import (
     check_structure_range,
     enumerate_points,
     group_structure,
-    max_order_point,
+    is_nonsingular,
 )
 from .eds import (
     EdsView,
@@ -54,7 +56,7 @@ def random_curve(fld: PrimeField, rng: SplitMix64) -> EllipticCurve:
     while True:
         a = rng.randrange(0, p)
         b = rng.randrange(0, p)
-        if (4 * a * a * a + 27 * b * b) % p:
+        if is_nonsingular(p, a, b):
             return EllipticCurve(fld, a, b)
 
 
@@ -81,6 +83,21 @@ def seeded_view(p: int, seed: int) -> EdsView:
             return view
 
 
+def _draw_view(rng: SplitMix64, primes: list[int]) -> EdsView:
+    """A random view of the randomized sweeps: a prime from primes, a curve
+    and a point with y != 0; all three are drawn again when the curve has no
+    such point."""
+    while True:
+        view = random_view(random_curve(field(rng.choice(primes)), rng), rng)
+        if view is not None:
+            return view
+
+
+def _where(curve: EllipticCurve) -> dict:
+    """The p, a, b header of a curve in scan records and failure records."""
+    return {"p": curve.p, "a": curve.a, "b": curve.b}
+
+
 def largest_prime_below(n: int) -> int:
     c = n - 1
     if c % 2 == 0:
@@ -99,7 +116,7 @@ def make_record(kind: str, view: EdsView | None, payload: dict, seed: int) -> di
         "payload": payload,
     }
     if view is not None:
-        rec["curve"] = {"p": view.curve.p, "a": view.curve.a, "b": view.curve.b}
+        rec["curve"] = _where(view.curve)
         rec["point"] = {"x": view.point.x, "y": view.point.y}
         rec["r"] = view.r
         rec["R"] = view.window_length
@@ -114,37 +131,24 @@ def strip_ts(record: dict) -> dict:
 # -- sweep: three-term recurrence ----------------------------------------------
 
 
-def sweep_recurrence(
-    n_tuples: int = 10_000,
-    seed: int = 0,
-    p_lo: int = 5,
-    p_hi: int = 10_000,
-    views: int = 500,
-    index_bound: int = 1_000_000,
-) -> dict:
+def sweep_recurrence(n_tuples: int = 10_000, seed: int = 0) -> dict:
     """Evaluate the defining three-term quadratic recurrence residual at random
-    index triples (h, i, j) drawn from [-index_bound, index_bound], spanning
-    negative indices and index collisions, across random views."""
-    primes = primes_in(p_lo, p_hi)
+    index triples (h, i, j) drawn from [-10^6, 10^6], spanning negative
+    indices and index collisions, across 500 random views with
+    5 <= p <= 10^4."""
+    primes = primes_in(5, 10_000)
     rng = SplitMix64(seed)
-    per_view = max(1, -(-n_tuples // views))
+    per_view = max(1, -(-n_tuples // 500))
     stats = {"tuples": 0, "views": 0, "failures": []}
     while stats["tuples"] < n_tuples:
-        p = rng.choice(primes)
-        view = random_view(random_curve(field(p), rng), rng)
-        if view is None:
-            continue
+        view = _draw_view(rng, primes)
         stats["views"] += 1
         for _ in range(min(per_view, n_tuples - stats["tuples"])):
-            h = rng.randrange(-index_bound, index_bound + 1)
-            i = rng.randrange(-index_bound, index_bound + 1)
-            j = rng.randrange(-index_bound, index_bound + 1)
+            h, i, j = (rng.randrange(-1_000_000, 1_000_001) for _ in range(3))
             res = recurrence_residual(view, h, i, j)
             stats["tuples"] += 1
             if res != 0:
-                stats["failures"].append(
-                    {"p": p, "a": view.curve.a, "b": view.curve.b, "hij": [h, i, j], "residual": res}
-                )
+                stats["failures"].append({**_where(view.curve), "hij": [h, i, j], "residual": res})
     return stats
 
 
@@ -248,18 +252,11 @@ def sweep_small_fields(
 # -- sweep: index-product identity ----------------------------------------------
 
 
-def sweep_index_product(
-    trials: int = 1000,
-    seed: int = 0,
-    p_lo: int = 5,
-    p_hi: int = 1000,
-    nm_max: int = 1000,
-    edge_trials: int = 40,
-) -> dict:
+def sweep_index_product(trials: int = 1000, seed: int = 0, edge_trials: int = 40) -> dict:
     """psi_{nm}(P) = psi_n([m]P) psi_m(P)^(n^2) at uniform random (view, n, m)
-    with n, m <= nm_max, plus extra forced visits (counted separately) to the
-    degenerate branches [m]P = O and [m]P of order 2."""
-    primes = primes_in(p_lo, p_hi)
+    with 5 <= p <= 1000 and n, m <= 1000, plus extra forced visits (counted
+    separately) to the degenerate branches [m]P = O and [m]P of order 2."""
+    primes = primes_in(5, 1000)
     rng = SplitMix64(seed)
     stats = {
         "trials": 0,
@@ -268,8 +265,15 @@ def sweep_index_product(
         "edge_two_torsion": 0,
         "failures": [],
     }
-
-    def check(view: EdsView, n: int, m: int) -> None:
+    for k in range(trials + edge_trials):
+        view = _draw_view(rng, primes)
+        n = rng.randrange(1, 1001)
+        if k < trials:
+            m = rng.randrange(1, 1001)
+        elif (k - trials) % 2 == 0 or view.r % 2:
+            m = view.r * rng.randrange(1, 4)  # [m]P = O branch
+        else:
+            m = (view.r // 2) * (2 * rng.randrange(0, 2) + 1)  # [m]P of order 2
         q = view.curve.mul(m, view.point)
         if q is None:
             stats["edge_infinity"] += 1
@@ -278,38 +282,13 @@ def sweep_index_product(
         if not verify_index_product(view, n, m):
             stats["failures"].append(
                 {
-                    "p": view.curve.p,
-                    "a": view.curve.a,
-                    "b": view.curve.b,
+                    **_where(view.curve),
                     "point": {"x": view.point.x, "y": view.point.y},
                     "n": n,
                     "m": m,
                 }
             )
-
-    while stats["trials"] < trials:
-        p = rng.choice(primes)
-        view = random_view(random_curve(field(p), rng), rng)
-        if view is None:
-            continue
-        n = rng.randrange(1, nm_max + 1)
-        m = rng.randrange(1, nm_max + 1)
-        check(view, n, m)
-        stats["trials"] += 1
-    while stats["edge_trials"] < edge_trials:
-        p = rng.choice(primes)
-        view = random_view(random_curve(field(p), rng), rng)
-        if view is None:
-            continue
-        n = rng.randrange(1, nm_max + 1)
-        if stats["edge_trials"] % 2 == 0:
-            m = view.r * rng.randrange(1, 4)  # [m]P = O branch
-        elif view.r % 2 == 0:
-            m = (view.r // 2) * (2 * rng.randrange(0, 2) + 1)  # [m]P of order 2
-        else:
-            m = view.r * rng.randrange(1, 4)
-        check(view, n, m)
-        stats["edge_trials"] += 1
+        stats["trials" if k < trials else "edge_trials"] += 1
     return stats
 
 
@@ -353,7 +332,7 @@ def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) 
             if not views:
                 continue
             curves = [v.curve for v in views]
-            tower = division_poly_batch(curves, n_max, fold=True)
+            tower = division_poly_batch(curves, n_max)
             sym_rows = psi_batch(curves, [v.point for v in views], tower)
             del tower  # the next batch's tower is built without this one alive
             for view, sym in zip(views, sym_rows):
@@ -371,9 +350,7 @@ def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) 
                     sym_n, dbl, win, stream = vals[:, i].tolist()
                     stats["failures"].append(
                         {
-                            "p": p,
-                            "a": view.curve.a,
-                            "b": view.curve.b,
+                            **_where(view.curve),
                             "n": i + 1,
                             "symbolic": sym_n,
                             "doubling": dbl,
@@ -385,20 +362,16 @@ def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) 
     return stats
 
 
-def sweep_oracle_random(
-    n_curves: int = 50, seed: int = 0, n_max: int = 2000, p_hi: int = 999_999_937
-) -> dict:
-    """At ~9-digit primes: the doubling path agrees with the halving window at
-    every index n <= n_max, and both agree with the x-only recurrence (an
-    independent pointwise recursion) on a seeded index sample."""
-    primes = primes_in(p_hi - 60_000, p_hi)
+def sweep_oracle_random(n_curves: int = 50, seed: int = 0, n_max: int = 2000) -> dict:
+    """At the 9-digit primes in [999 939 937, 999 999 937]: the doubling path
+    agrees with the halving window at every index n <= n_max, and both agree
+    with the x-only recurrence (an independent pointwise recursion) on a
+    seeded index sample."""
+    primes = primes_in(999_999_937 - 60_000, 999_999_937)
     rng = SplitMix64(seed)
     stats = {"curves": 0, "values": 0, "failures": []}
-    while stats["curves"] < n_curves:
-        p = primes[rng.randrange(0, len(primes))]
-        view = random_view(random_curve(field(p), rng), rng)
-        if view is None:
-            continue
+    for _ in range(n_curves):
+        view = _draw_view(rng, primes)
         stats["curves"] += 1
         curve, pt = view.curve, view.point
         w = psi_window(view, n_max)
@@ -406,17 +379,13 @@ def sweep_oracle_random(
         bad = np.flatnonzero(ladder != w[1:])
         stats["values"] += n_max
         if len(bad):
-            stats["failures"].append(
-                {"p": p, "a": curve.a, "b": curve.b, "n": int(bad[0]) + 1, "check": "window"}
-            )
+            stats["failures"].append({**_where(curve), "n": int(bad[0]) + 1, "check": "window"})
         for _ in range(16):
             n = rng.randrange(1, n_max + 1)
             f = x_only_psi(curve, pt.x, n)
-            expected = f if n % 2 else f * pt.y % p
+            expected = f if n % 2 else f * pt.y % curve.p
             if w[n] != expected:
-                stats["failures"].append(
-                    {"p": p, "a": curve.a, "b": curve.b, "n": n, "check": "x-only"}
-                )
+                stats["failures"].append({**_where(curve), "n": n, "check": "x-only"})
             stats["values"] += 1
     return stats
 
@@ -491,7 +460,7 @@ def sweep_weil(
                 if top > bound:
                     stats["bare_exceed"] += 1
                     stats["max_bare_excess"] = max(stats["max_bare_excess"], top - bound)
-                failure = {"p": p, "a": curve.a, "b": curve.b, "ells": list(ells)}
+                failure = {**_where(curve), "ells": list(ells)}
                 if top > bound + fft_err:
                     stats["failures"].append({**failure, "max": top})
                 for omega_h, mask in shapes[s.m, s.l]:
@@ -520,10 +489,10 @@ def scan_prime(p: int, seed: int = 0) -> dict:
     rng = stream(seed, p)
     while True:
         curve = random_curve(fld, rng)
-        pt, exponent = max_order_point(curve)
-        if exponent >= 3:
+        s = group_structure(curve)
+        if s.m >= 3:
             break
-    view = EdsView(curve, pt, r=exponent)
+    view = EdsView(curve, s.gen_m, r=s.m)
     r = view.r
     length = view.window_length
     bias = charsum.bias_report(view, length)

@@ -4,10 +4,14 @@ Each psi_n is represented as y^t * f_n(x) with t = 1 for even n and t = 0 for
 odd n.  The tower is built for a batch of curves of one prime at once: f_n is
 a (rows, len) int64 array, row i holding the coefficients of f_n on the curve
 y^2 = x^3 + A_i x + B_i along the last axis, constant term first, every entry
-reduced mod p.  Arrays are not trimmed: the length of an unfolded f_n is its
-nominal degree plus one, so its leading entry is n mod p and may be zero.
-The tower is built bottom-up from the degree-4/degree-6 closed forms with the
-recurrences
+reduced mod p.  The tower lives in the quotient ring F_p[x]/(x^p - x): every
+product is folded by x^p = x, which preserves the value at every x in F_p
+(Fermat).  So evaluation at rational abscissas stays exact, while no product
+keeps more than p coefficients and each costs O(p log p) however large n
+grows.  Arrays are not trimmed: while the nominal degree of f_n is below p,
+its length is that degree plus one, so its leading entry is n mod p and may
+be zero.  The tower is built bottom-up from the degree-4/degree-6 closed
+forms with the recurrences
 
     f_{2m+1} = C^2 f_{m+2} f_m^3 - f_{m-1} f_{m+1}^3      (m even)
     f_{2m+1} = f_{m+2} f_m^3 - C^2 f_{m-1} f_{m+1}^3      (m odd)
@@ -26,12 +30,6 @@ product is guarded twice: statically, min(len) * (p - 1)^2 < 2^44 (every
 coefficient of the exact product is below that bound), and at run time every
 raw coefficient must lie within 1/4 of an integer.  Either failure raises
 ``ValueError`` naming the multiply guard.
-
-Degrees grow like n^2/2, so for bulk sweeps the tower can be built in the
-quotient ring F_p[x]/(x^p - x), folding after every product.  Folding by
-x^p = x preserves the value at every x in F_p (Fermat), so evaluation at
-rational abscissas is still exact while every product stays O(p log p)
-instead of O(n^2 log n).
 """
 
 from __future__ import annotations
@@ -43,8 +41,8 @@ from .curve import EllipticCurve, Point
 MUL_BOUND = 1 << 44  # min(len) * (p - 1)^2 below this: FFT products are exact
 
 
-def _mul(p: int, f: np.ndarray, g: np.ndarray, fold: bool = False) -> np.ndarray:
-    """f * g mod p row by row (rows broadcast), folded mod x^p - x if asked."""
+def _mul(p: int, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """f * g mod p row by row (rows broadcast), folded mod x^p - x."""
     if min(f.shape[-1], g.shape[-1]) * (p - 1) ** 2 >= MUL_BOUND:
         raise ValueError("symbolic tower multiply guarded at min(len) * (p - 1)^2 < 2^44")
     n = f.shape[-1] + g.shape[-1] - 1
@@ -54,7 +52,7 @@ def _mul(p: int, f: np.ndarray, g: np.ndarray, fold: bool = False) -> np.ndarray
     if np.abs(raw - out).max() >= 0.25:
         raise ValueError("symbolic tower multiply guarded: FFT product is not exact")
     out = out.astype(np.int64)
-    return (_fold(out, p) if fold else out) % p
+    return _fold(out, p) % p
 
 
 def _sub(p: int, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -93,15 +91,10 @@ def horner(f: np.ndarray, x, p: int):
     return acc
 
 
-def division_poly_batch(
-    curves, n_max: int, fold: bool = False
-) -> list[tuple[int, np.ndarray]]:
-    """[(t_n, F_n)] for n = 0..n_max; row i of F_n is f_n of curves[i].
-
-    The curves are a non-empty sequence over one prime field.  With
-    fold=True all entries live in F_p[x]/(x^p - x); evaluation at abscissas
-    in F_p is unchanged.
-    """
+def division_poly_batch(curves, n_max: int) -> list[tuple[int, np.ndarray]]:
+    """[(t_n, F_n)] for n = 0..n_max; row i of F_n is f_n of curves[i] in
+    F_p[x]/(x^p - x).  The curves are a non-empty sequence over one prime
+    field."""
     p = curves[0].p
     if any(c.p != p for c in curves):
         raise ValueError("a tower batch takes curves over one prime field")
@@ -115,7 +108,7 @@ def division_poly_batch(
         return (np.hstack([c + zero for c in coeffs]) % p).astype(np.int64)
 
     def mul(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return _mul(p, f, g, fold)
+        return _mul(p, f, g)
 
     fs = [
         base(0),
@@ -158,12 +151,10 @@ def division_poly_batch(
     return [(int(n > 0 and n % 2 == 0), f) for n, f in enumerate(fs)]
 
 
-def division_poly_tower(
-    curve: EllipticCurve, n_max: int, fold: bool = False
-) -> list[tuple[int, np.ndarray]]:
+def division_poly_tower(curve: EllipticCurve, n_max: int) -> list[tuple[int, np.ndarray]]:
     """[(t_n, f_n)] for n = 0..n_max with psi_n = y^t_n f_n(x): the one-row
     :func:`division_poly_batch`, each f_n a 1-D coefficient array."""
-    return [(t, f[0]) for t, f in division_poly_batch([curve], n_max, fold)]
+    return [(t, f[0]) for t, f in division_poly_batch([curve], n_max)]
 
 
 def psi_symbolic(

@@ -14,7 +14,6 @@ from edschar.curve import (
     enumerate_points,
     group_grid,
     group_structure,
-    max_order_point,
     point_order,
 )
 from edschar import curve as curve_module
@@ -416,7 +415,8 @@ def test_group_structure_stops_early_on_noncyclic_curve(monkeypatch):
 
 def test_max_order_point_is_lex_first():
     for curve in (E5, E13, EllipticCurve(field(5), -1, 0)):
-        pt, order = max_order_point(curve)
+        s = group_structure(curve)
+        pt, order = s.gen_m, s.m
         orders = {
             q: point_order(curve, q)
             for q in enumerate_points(curve)

@@ -201,9 +201,9 @@ def test_sweep_weil_one_tower_per_ell(monkeypatch):
     calls = []
     build = harness.division_poly_batch
 
-    def counted(curves, n_max, fold=False):
+    def counted(curves, n_max):
         calls.append((curves[0].p, len(curves), n_max))
-        return build(curves, n_max, fold)
+        return build(curves, n_max)
 
     monkeypatch.setattr(harness, "division_poly_batch", counted)
     monkeypatch.setattr(charsum, "division_poly_tower", None)  # no one-row towers
@@ -583,9 +583,9 @@ def test_cmd_verify_weil_builds_two_towers(monkeypatch):
     calls = []
     build = charsum.division_poly_tower
 
-    def counted(curve, n_max, fold=False):
+    def counted(curve, n_max):
         calls.append(n_max)
-        return build(curve, n_max, fold)
+        return build(curve, n_max)
 
     monkeypatch.setattr(charsum, "division_poly_tower", counted)
     out = harness.cmd_verify(1009, 11, 17, 1, 188, identity="weil", ells=(3, 5))

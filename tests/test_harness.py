@@ -299,6 +299,15 @@ def test_batched_oracle_sweeps_pinned():
     assert _stats_hash(weil) == "3d03bfe32362201c7a258b3bfd4626aedf696efc89035ed174abc7da55084ea9"
 
 
+def test_sweep_weil_stats_pinned_to_29():
+    # hashed from the sweep that took one ifft2 per (curve, ell set) and per
+    # (curve, ell set, subgroup); floats and failure lists included, so the
+    # hash rests on numpy's FFT build as well as on the code
+    stats = harness.sweep_weil(5, 29)
+    assert (stats["curves"], stats["spectra"], stats["subgroup_checks"]) == (2260, 6780, 13704)
+    assert _stats_hash(stats) == "e3f43d2b1afc445c54dbea153e6ba0a130a96e6e75c4c6d5bf3d7728226dbceb"
+
+
 def test_oracle_batches_hold_whole_a_values():
     for p in (5, 19, 37):
         batches = list(harness._curve_batches(p))

@@ -19,8 +19,10 @@ one per character, and freed with it; the module keeps no cache of its own.
 The Weil checks evaluate chi(f(P)) on the (M, L) group grid of
 curve.group_grid, which is built by vectorized chord steps from the
 generators, checked pairwise distinct and cached on the curve, and take
-every sum from one ifft2 spectrum of that chi grid (a subgroup's from the
-spectrum of the grid masked to the subgroup).
+every sum from the ifft2 spectrum of that chi grid (a subgroup's from the
+spectrum of the grid masked to the subgroup).  _spectrum and
+averaged_spectrum act on the last two axes, so a stack of grids, such as
+every ell set under every subgroup mask of one curve, takes one call.
 """
 
 from __future__ import annotations
@@ -175,9 +177,16 @@ def complete_spectrum(view: EdsView) -> np.ndarray:
     if length > COMPLETE_MAX:
         raise ValueError(f"complete sums guarded at R <= {COMPLETE_MAX}")
     window = chi_window(view, length).astype(np.float64)
-    spec = np.fft.ifft(window) * length
-    phase = np.exp(2j * np.pi * np.arange(length) / length)
-    return spec * phase
+    spec = np.fft.ifft(window)
+    del window  # the float copy, not the window kept on the view
+    # scaled and twisted in place, e(n/R) made 2**16 entries at a time, so
+    # that no full-length temporary outlives the ifft
+    spec *= length
+    chunk = 1 << 16
+    for start in range(0, length, chunk):
+        n = np.arange(start, min(start + chunk, length))
+        spec[start : start + chunk] *= np.exp(2j * np.pi * n / length)
+    return spec
 
 
 def spectrum_err_bound(length: int) -> float:
@@ -309,8 +318,10 @@ def _chi_grid(curve: EllipticCurve, polys) -> np.ndarray:
 
 
 def _spectrum(grid: np.ndarray) -> np.ndarray:
-    """sum_P omega_{a,b}(P) grid[P] for every character (a, b): one ifft2."""
-    return np.fft.ifft2(grid.astype(np.float64)) * grid.size
+    """sum_P omega_{a,b}(P) grid[P] for every character (a, b), over the last
+    two axes: a grid or a stack of grids, one ifft2 for the whole stack."""
+    m, l = grid.shape[-2:]
+    return np.fft.ifft2(grid.astype(np.float64), axes=(-2, -1)) * (m * l)
 
 
 def _locate(curve: EllipticCurve, point: Point) -> tuple[int, int]:
@@ -344,12 +355,9 @@ def weil_sum_check(
     grid = _chi_grid(curve, _ell_polys(curve, ells))
     d = weil_degree(ells)
     a, b = omega[0] % s.m, omega[1] % s.l
-    spectrum = _spectrum(grid)
+    grids = [grid]
     desc = None
-    gap = None
-    if subgroup is None:
-        value = complex(spectrum[a, b])
-    else:
+    if subgroup is not None:
         curve.validate_point(subgroup)
         mq, lq = _locate(curve, subgroup)
         # the pairing is symmetric, so the characters trivial on <Q> are the
@@ -359,9 +367,14 @@ def weil_sum_check(
         k = np.arange(order, dtype=np.int64)
         mask = np.zeros(grid.shape, dtype=bool)
         mask[k * mq % s.m, k * lq % s.l] = True
-        value = complex(_spectrum(grid * mask)[a, b])
-        gap = abs(value - complex(spectrum[(a + ta) % s.m, (b + tb) % s.l].mean()))
+        grids.append(grid * mask)
         desc = {"x": subgroup.x, "y": subgroup.y, "order": order, "index": len(ta)}
+    # the full spectrum, then the masked one if any, from one ifft2
+    spectra = _spectrum(np.stack(grids))
+    value = complex(spectra[-1, a, b])
+    gap = None
+    if subgroup is not None:
+        gap = abs(value - complex(spectra[0, (a + ta) % s.m, (b + tb) % s.l].mean()))
     return WeilCheckReport(
         sum_modulus=abs(value),
         bound=2.0 * d * math.sqrt(curve.p),
@@ -420,14 +433,16 @@ def subgroup_mask(m: int, l: int, omega_h) -> np.ndarray:
 
 
 def averaged_spectrum(spectrum: np.ndarray, omega_h) -> np.ndarray:
-    """Mean over theta in omega_h of spectrum shifted by theta.
+    """Mean over theta in omega_h of spectrum shifted by theta, over the last
+    two axes: a spectrum or a stack of spectra, each averaged alone.
 
     Row (a, b) of the result equals the subgroup-restricted sum for omega_(a,b)
-    whenever omega_h is the annihilator group of that subgroup.
+    whenever omega_h is the annihilator group of that subgroup.  The shifts
+    are added in omega_h order from zero, whatever the stack.
     """
-    m, l = spectrum.shape
-    rows, cols = np.arange(m), np.arange(l)
+    m, l = spectrum.shape[-2:]
+    rows, cols = np.arange(m)[:, None], np.arange(l)
     acc = np.zeros_like(spectrum)
     for ta, tb in omega_h:
-        acc += spectrum[np.ix_((rows + ta) % m, (cols + tb) % l)]
+        acc += spectrum[..., (rows + ta) % m, (cols + tb) % l]
     return acc / len(omega_h)

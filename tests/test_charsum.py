@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,24 @@ def test_complete_sum_matches_spectrum_large_view():
     for a in (0, 1, 2, 3, length // 3, length // 2, length - 2, length - 1):
         single = complete_sum(view, a)
         assert abs(spec[a] - single.value) <= err + single.err_bound
+
+
+def test_complete_spectrum_peak_memory_per_term():
+    # R = 1 999 348; the chi window is built and kept on the view before the
+    # trace starts, so the peak counts only the spectrum's own arrays: the
+    # complex output (16 B/term) and the ifft's float input and work copy
+    view = seeded_view(999_983, 0)
+    length = view.window_length
+    assert length == 1_999_348
+    chi_window(view, length)
+    tracemalloc.start()
+    try:
+        spec = complete_spectrum(view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spec) == length
+    assert peak / length <= 44
 
 
 def test_parseval(f5_view):
@@ -649,6 +668,36 @@ def test_averaged_spectrum_matches_roll_oracle(curve):
         groups.append(_annihilator(s, 6, 1))  # index 12, past the small list
     for omega_h in groups:
         assert np.array_equal(averaged_spectrum(spec, omega_h), _rolled_average(spec, omega_h))
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (2, 1), (5, 1), (13, 1), (4, 2), (7, 3), (12, 2), (8, 4), (6, 6), (252, 4)]
+)
+def test_stacked_spectrum_matches_per_slice_bit_for_bit(shape):
+    # sweep_weil takes every ell set under every subgroup mask in one ifft2
+    # over a (3, 1 + k, M, L) stack; each slice must be the 2-D spectrum
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    stack = rng.integers(-1, 2, size=(3, 4, *shape)).astype(np.int8)
+    spec = _spectrum(stack)
+    assert spec.shape == stack.shape
+    for idx in np.ndindex(stack.shape[:2]):
+        want = _spectrum(stack[idx])
+        assert np.array_equal(spec[idx].view(np.float64), want.view(np.float64))
+        assert np.array_equal(spec[idx].view(np.uint64), want.view(np.uint64))  # signed zeros too
+
+
+@pytest.mark.parametrize("curve", [NONCYCLIC, Z252], ids=["Z4xZ2", "Z252xZ4"])
+def test_averaged_spectrum_of_a_stack_matches_roll_oracle(curve):
+    s = group_structure(curve)
+    stack = np.stack([_weil_spectrum(curve, ells) for ells in ((3,), (5,), (3, 5))])
+    groups = small_character_subgroups(s.m, s.l, 4)
+    if s.m == 252:
+        groups.append(_annihilator(s, 6, 1))  # index 12, past the small list
+    for omega_h in groups:
+        got = averaged_spectrum(stack, omega_h)
+        assert got.shape == stack.shape
+        for spec, avg in zip(stack, got):
+            assert np.array_equal(avg.view(np.float64), _rolled_average(spec, omega_h).view(np.float64))
 
 
 def test_averaging_identity_against_reports():

@@ -176,11 +176,10 @@ def complete_spectrum(view: EdsView) -> np.ndarray:
     length = view.window_length
     if length > COMPLETE_MAX:
         raise ValueError(f"complete sums guarded at R <= {COMPLETE_MAX}")
-    window = chi_window(view, length).astype(np.float64)
-    spec = np.fft.ifft(window)
-    del window  # the float copy, not the window kept on the view
-    # scaled and twisted in place, e(n/R) made 2**16 entries at a time, so
-    # that no full-length temporary outlives the ifft
+    # the float copy of the window dies with the ifft; the output is scaled
+    # and twisted in place, e(n/R) made 2**16 entries at a time, so that no
+    # full-length temporary outlives the ifft
+    spec = np.fft.ifft(chi_window(view, length).astype(np.float64))
     spec *= length
     chunk = 1 << 16
     for start in range(0, length, chunk):

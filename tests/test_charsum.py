@@ -671,7 +671,9 @@ def test_averaged_spectrum_matches_roll_oracle(curve):
 
 
 @pytest.mark.parametrize(
-    "shape", [(1, 1), (2, 1), (5, 1), (13, 1), (4, 2), (7, 3), (12, 2), (8, 4), (6, 6), (252, 4)]
+    "shape",
+    [(1, 1), (2, 1), (5, 1), (13, 1), (4, 2), (7, 3), (12, 2), (8, 4), (6, 6), (252, 4)],
+    ids=lambda shape: f"{shape[0]}x{shape[1]}",
 )
 def test_stacked_spectrum_matches_per_slice_bit_for_bit(shape):
     # sweep_weil takes every ell set under every subgroup mask in one ifft2
@@ -682,8 +684,8 @@ def test_stacked_spectrum_matches_per_slice_bit_for_bit(shape):
     assert spec.shape == stack.shape
     for idx in np.ndindex(stack.shape[:2]):
         want = _spectrum(stack[idx])
-        assert np.array_equal(spec[idx].view(np.float64), want.view(np.float64))
-        assert np.array_equal(spec[idx].view(np.uint64), want.view(np.uint64))  # signed zeros too
+        # bit for bit, signed zeros included
+        assert np.array_equal(spec[idx].view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("curve", [NONCYCLIC, Z252], ids=["Z4xZ2", "Z252xZ4"])
@@ -697,7 +699,8 @@ def test_averaged_spectrum_of_a_stack_matches_roll_oracle(curve):
         got = averaged_spectrum(stack, omega_h)
         assert got.shape == stack.shape
         for spec, avg in zip(stack, got):
-            assert np.array_equal(avg.view(np.float64), _rolled_average(spec, omega_h).view(np.float64))
+            want = _rolled_average(spec, omega_h)
+            assert np.array_equal(avg.view(np.float64), want.view(np.float64))
 
 
 def test_averaging_identity_against_reports():

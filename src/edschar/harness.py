@@ -156,10 +156,13 @@ def sweep_recurrence(n_tuples: int = 10_000, seed: int = 0) -> dict:
 # -- sweep: every curve and point over small fields ----------------------------
 
 
-def _check_view_small(view: EdsView, s_max: int, stats: dict, deep_period: bool) -> None:
+SHIFT_BLOCKS = 5  # the shift identity at s <= 5 (README criterion 2)
+
+
+def _check_view_small(view: EdsView, stats: dict, deep_period: bool) -> None:
     fld = view.curve.field
     p, r = fld.p, view.r
-    wlen = (s_max + 1) * r + 3
+    wlen = (SHIFT_BLOCKS + 1) * r + 3
     arr = psi_window(view, wlen)[1:]  # arr[k-1] = psi_k
 
     # zeros exactly at the multiples of the point order
@@ -169,19 +172,19 @@ def _check_view_small(view: EdsView, s_max: int, stats: dict, deep_period: bool)
         return
 
     # shift blocks: psi_{sr+k} = a^(ks) b^(s^2) psi_k, via discrete logs, for
-    # every s <= s_max at once (row s - 1 is block s)
+    # every s <= SHIFT_BLOCKS at once (row s - 1 is block s)
     log_arr, pow_arr = fld.dlog_tables()
     la, lb = int(log_arr[view.mult_a]), int(log_arr[view.mult_b])
     ks = np.arange(1, r + 1, dtype=np.int64)
-    ss = np.arange(1, s_max + 1, dtype=np.int64)[:, None]
+    ss = np.arange(1, SHIFT_BLOCKS + 1, dtype=np.int64)[:, None]
     mult = pow_arr[(la * ss * ks + lb * ss * ss) % (p - 1)]
-    blocks = arr[r : (s_max + 1) * r].reshape(s_max, r)
+    blocks = arr[r : (SHIFT_BLOCKS + 1) * r].reshape(SHIFT_BLOCKS, r)
     bad = np.flatnonzero((blocks != mult * arr[:r] % p).any(axis=1))
     if len(bad):
         stats["shift_checks"] += int(bad[0]) * r
         stats["failures"].append({"view": repr(view), "check": "shift", "s": int(bad[0]) + 1})
         return
-    stats["shift_checks"] += s_max * r
+    stats["shift_checks"] += SHIFT_BLOCKS * r
 
     # quadratic character window: minimal period is r or 2r, matching the
     # prediction from the character values of the shift constants
@@ -220,9 +223,7 @@ def _check_view_small(view: EdsView, s_max: int, stats: dict, deep_period: bool)
             return
 
 
-def sweep_small_fields(
-    p_min: int = 5, p_max: int = 50, s_max: int = 5, period_sample: int = 50
-) -> dict:
+def sweep_small_fields(p_min: int = 5, p_max: int = 50) -> dict:
     """Exhaustive shift-identity and character-period check: every nonsingular
     curve over every prime in [p_min, p_max], every point with y != 0."""
     stats = {
@@ -243,9 +244,8 @@ def sweep_small_fields(
                     stats["skipped_points"] += 1
                     continue
                 view = EdsView(curve, pt)
-                _check_view_small(
-                    view, s_max, stats, deep_period=stats["views"] % period_sample == 0
-                )
+                # the period's minimality on every 50th view
+                _check_view_small(view, stats, deep_period=stats["views"] % 50 == 0)
                 stats["views"] += 1
     return stats
 
@@ -768,143 +768,118 @@ def cmd_scan(
     return records
 
 
-def cmd_bench(seed: int = 0) -> dict:
-    """Desk-scale timing and large-input correctness checks."""
-    out: dict = {"seed": seed}
+# -- bench -----------------------------------------------------------------------
 
-    # single-value evaluation at n = 2^62 near the modulus cap
-    p62 = largest_prime_below(1 << 62)
-    fld = field(p62)
-    rng = stream(seed, p62)
-    curve = random_curve(fld, rng)
-    pt = curve.random_point(rng, nonzero_y=True)
-    n62 = 1 << 62
-    ev = PsiEvaluator(curve, pt)
+N62 = 1 << 62  # the index of eval_62bit and reconstruction
+
+
+def _timed(fn, repeats: int = 1):
+    """fn() run repeats times: its result, which every run must return again,
+    and the wall time of each run in seconds, sorted."""
     times = []
-    value62 = None
-    for _ in range(5):
+    for i in range(repeats):
         t0 = time.perf_counter()
-        got = ev.psi(n62)
+        got = fn()
         times.append(time.perf_counter() - t0)
-        if value62 is None:
-            value62 = got
-        elif got != value62:
-            raise AssertionError("non-deterministic evaluation at n = 2^62")
-    res = recurrence_residual(
-        ev,
-        rng.randrange(1, 1 << 40),
-        rng.randrange(1, 1 << 40),
-        rng.randrange(1, 1 << 40),
-    )
-    out["eval_62bit"] = {
-        "p": p62,
-        "n": n62,
-        "max_ms": max(times) * 1e3,
-        "median_ms": sorted(times)[len(times) // 2] * 1e3,
+        if i and got != result:
+            raise AssertionError(f"non-deterministic result on run {i + 1} of {repeats}")
+        result = got
+    return result, sorted(times)
+
+
+def _bench_eval_62bit(seed: int) -> dict:
+    p = largest_prime_below(N62)
+    rng = stream(seed, p)
+    curve = random_curve(field(p), rng)
+    ev = PsiEvaluator(curve, curve.random_point(rng, nonzero_y=True))
+    _, times = _timed(lambda: ev.psi(N62), 5)
+    res = recurrence_residual(ev, *(rng.randrange(1, 1 << 40) for _ in range(3)))
+    return {
+        "p": p, "n": N62, "max_ms": times[-1] * 1e3, "median_ms": times[len(times) // 2] * 1e3,
         "recurrence_residual": res,
     }
 
-    # character window throughput at a tabulated prime, spot-checked against
-    # the random-access path
-    p_chi = 1_000_003
-    view = seeded_view(p_chi, seed)
-    n_terms = 1_000_000
-    t0 = time.perf_counter()
-    window = charsum.chi_window(view, n_terms)
-    chi_s = time.perf_counter() - t0
-    spot_ok = all(
-        int(window[n - 1]) == view.curve.field.chi(view.psi(n))
-        for n in (rng.randrange(1, n_terms + 1) for _ in range(64))
-    )
-    out["chi_window"] = {
-        "p": p_chi,
-        "terms": n_terms,
-        "seconds": chi_s,
-        "sum": int(window.sum(dtype=np.int64)),
-        "spot_ok": spot_ok,
+
+def _bench_chi_window(seed: int) -> dict:
+    p, n_terms = 1_000_003, 1_000_000
+    view = seeded_view(p, seed)
+    window, (seconds,) = _timed(lambda: charsum.chi_window(view, n_terms))
+    rng = stream(seed, n_terms)  # keyed by a composite, so no seeded view shares it
+    spots = (rng.randrange(1, n_terms + 1) for _ in range(64))
+    spot_ok = all(int(window[n - 1]) == view.curve.field.chi(view.psi(n)) for n in spots)
+    total = int(window.sum(dtype=np.int64))
+    return {"p": p, "terms": n_terms, "seconds": seconds, "sum": total, "spot_ok": spot_ok}
+
+
+def _bench_order_d(seed: int) -> dict:
+    # complete first, so that the incomplete sum reads a prefix of its window
+    p, d = 20_021, 4
+    view = seeded_view(p, seed)
+    modes = (("complete", 1), ("incomplete", view.window_length))
+    (comp, inc), (seconds,) = _timed(lambda: [charsum.order_d_sums(view, d, *m) for m in modes])
+    return {
+        "p": p, "d": d, "terms": d * view.r, "seconds": seconds,
+        "complete": [comp.re, comp.im], "incomplete": [inc.re, inc.im],
     }
 
-    # order-d sums (d = 4) over the d*r exponent window at a prime near 2*10^4,
-    # complete first so that the incomplete sum reads a prefix of its window
-    p_d, d = 20_021, 4
-    view_d = seeded_view(p_d, seed)
-    t0 = time.perf_counter()
-    comp = charsum.order_d_sums(view_d, d, "complete", 1)
-    inc = charsum.order_d_sums(view_d, d, "incomplete", view_d.window_length)
-    out["order_d"] = {
-        "p": p_d,
-        "d": d,
-        "terms": d * view_d.r,
-        "seconds": time.perf_counter() - t0,
-        "complete": [comp.re, comp.im],
-        "incomplete": [inc.re, inc.im],
-    }
 
-    # group structure plus its exhaustively checked (M, L) grid, on the first
-    # cyclic and the first non-cyclic seeded curve at a prime whose groups
-    # all stay within GRID_CHECK_MAX (N <= p + 1 + 2 sqrt(p) < 20 000); the
-    # median of three builds, each on a fresh curve object
-    p_g = largest_prime_below(19_700)
-    rng = stream(seed, p_g)
+def _bench_group_grid(seed: int) -> dict:
+    # the first cyclic and non-cyclic curve at a prime whose grids are all checked
+    # (N <= p + 1 + 2 sqrt(p) < GRID_CHECK_MAX); the median of 3 builds, each fresh
+    p = largest_prime_below(19_700)
+    rng = stream(seed, p)
     shapes: dict[bool, EllipticCurve] = {}
     while len(shapes) < 2:
-        curve = random_curve(field(p_g), rng)
+        curve = random_curve(field(p), rng)
         shapes.setdefault(group_structure(curve).l > 1, curve)
-    out["group_grid"] = {}
-    for noncyclic, curve in sorted(shapes.items()):
-        times = []
-        for _ in range(3):
-            fresh = EllipticCurve(curve.field, curve.a, curve.b)
-            t0 = time.perf_counter()
-            s = group_structure(fresh)
-            times.append(time.perf_counter() - t0)
-        out["group_grid"]["noncyclic" if noncyclic else "cyclic"] = {
-            "p": p_g,
-            "a": curve.a,
-            "b": curve.b,
-            "m": s.m,
-            "l": s.l,
-            "seconds": sorted(times)[len(times) // 2],
-        }
+    out = {}
+    for noncyclic, c in sorted(shapes.items()):
+        s, times = _timed(lambda: group_structure(EllipticCurve(c.field, c.a, c.b)), 3)
+        shape = {"p": p, "a": c.a, "b": c.b, "m": s.m, "l": s.l, "seconds": times[len(times) // 2]}
+        out["noncyclic" if noncyclic else "cyclic"] = shape
+    return out
 
-    # the Weil spectra of every curve at p = 31: per curve one stacked ifft2
-    # over its ell sets and subgroup masks, and the averaging checks
-    t0 = time.perf_counter()
-    weil = sweep_weil(31, 31)
-    out["weil_spectra"] = {
-        "p": 31,
-        **{k: weil[k] for k in ("curves", "spectra", "subgroup_checks")},
-        "seconds": time.perf_counter() - t0,
-    }
 
-    # the FFT spectrum of a window of R ~ 2*10^6 terms, built before the
-    # clock and the trace start, so both cover only the spectrum's own work
-    p_s = 999_983
-    view_s = seeded_view(p_s, seed)
-    charsum.chi_window(view_s, view_s.window_length)
+def _bench_weil_spectra(seed: int) -> dict:
+    weil, (seconds,) = _timed(lambda: sweep_weil(31, 31))
+    counts = {k: weil[k] for k in ("curves", "spectra", "subgroup_checks")}
+    return {"p": 31, **counts, "seconds": seconds}
+
+
+def _bench_spectrum(seed: int) -> dict:
+    # the FFT spectrum at R ~ 2*10^6, its window built before the clock and
+    # the trace start, so both cover only the spectrum's own work
+    p = 999_983
+    view = seeded_view(p, seed)
+    charsum.chi_window(view, view.window_length)
     tracemalloc.start()
     try:
-        t0 = time.perf_counter()
-        charsum.complete_spectrum(view_s)
-        spec_s = time.perf_counter() - t0
+        _, (seconds,) = _timed(lambda: charsum.complete_spectrum(view))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    out["spectrum"] = {
-        "p": p_s,
-        "terms": view_s.window_length,
-        "seconds": spec_s,
-        "peak_mib": peak / 2**20,
-    }
+    return {"p": p, "terms": view.window_length, "seconds": seconds, "peak_mib": peak / 2**20}
 
-    # shift-identity reconstruction of the same huge index at a 9-digit prime
-    p9 = largest_prime_below(1_000_000_000)
-    view9 = seeded_view(p9, seed)
-    s, k = divmod(n62 - 1, view9.r)  # n62 = s*r + (k + 1), with k + 1 in [1, r]
-    out["reconstruction"] = {
-        "p": p9,
-        "r": view9.r,
-        "n": n62,
-        "ok": verify_shift_identity(view9, s, k + 1),
-    }
-    return out
+
+def _bench_reconstruction(seed: int) -> dict:
+    p = largest_prime_below(1_000_000_000)
+    view = seeded_view(p, seed)
+    s, k = divmod(N62 - 1, view.r)  # N62 = s*r + (k + 1), with k + 1 in [1, r]
+    return {"p": p, "r": view.r, "n": N62, "ok": verify_shift_identity(view, s, k + 1)}
+
+
+# name -> entry(seed); each draws from streams of its own, so no entry moves another's
+BENCH_ENTRIES = {
+    "eval_62bit": _bench_eval_62bit,
+    "chi_window": _bench_chi_window,
+    "order_d": _bench_order_d,
+    "group_grid": _bench_group_grid,
+    "weil_spectra": _bench_weil_spectra,
+    "spectrum": _bench_spectrum,
+    "reconstruction": _bench_reconstruction,
+}
+
+
+def cmd_bench(seed: int = 0) -> dict:
+    """Desk-scale timing and large-input correctness checks: every bench entry."""
+    return {"seed": seed, **{name: entry(seed) for name, entry in BENCH_ENTRIES.items()}}

@@ -33,7 +33,7 @@ def _report(capsys, num: int, name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def small_fields():
     """Exhaustive small-field sweep shared by criteria 2 and 4."""
-    return harness.sweep_small_fields(5, 50, s_max=5)
+    return harness.sweep_small_fields(5, 50)
 
 
 def test_criterion_1_recurrence_residuals(capsys):

@@ -37,7 +37,7 @@ from edschar.charsum import (
 )
 from edschar.curve import EllipticCurve, Point, enumerate_points, group_structure, point_order
 from edschar.eds import SCALAR_LEVELS, EdsView, psi_window, x_only_psi
-from edschar.field import PrimeField, field
+from edschar.field import PrimeField, field, primes_in
 from edschar.harness import cmd_sums, seeded_view
 from edschar.symbolic import division_poly_tower
 
@@ -237,6 +237,23 @@ def test_complete_sum_matches_spectrum_large_view():
     for a in (0, 1, 2, 3, length // 3, length // 2, length - 2, length - 1):
         single = complete_sum(view, a)
         assert abs(spec[a] - single.value) <= err + single.err_bound
+
+
+def test_spectrum_forced_zeros():
+    # the shift identity chi(psi_{r+k}) = alpha^k beta chi(psi_k), with alpha
+    # and beta the characters of the shift constants, splits the spectrum as
+    # T(a') = sum_{k<=r} chi(psi_k) e(a'k/R) (1 + beta (-1)^a' alpha^k); so
+    # when alpha = 1, T(a') = 0 exactly at every a' with beta (-1)^a' = -1
+    views = 0
+    for p in primes_in(5, 3000):
+        view = seeded_view(p, 2024)
+        chi = view.curve.field.chi
+        if chi(view.mult_a) != 1:
+            continue
+        views += 1
+        forced = complete_spectrum(view)[(1 + chi(view.mult_b)) // 2 :: 2]
+        assert np.abs(forced).max() <= spectrum_err_bound(view.window_length)
+    assert views == 276  # of the 428 primes
 
 
 def test_complete_spectrum_peak_memory_per_term():

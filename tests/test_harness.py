@@ -285,7 +285,17 @@ def _stats_hash(stats: dict) -> str:
     return hashlib.sha256(json.dumps(stats, sort_keys=True).encode()).hexdigest()
 
 
-def test_batched_oracle_sweeps_pinned():
+# the stats of sweep_weil(5, 13) and sweep_weil(5, 29), keyed "5-13" and "5-29"
+PINNED_WEIL = json.loads((Path(__file__).parent / "data" / "sweep_weil_pinned.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def weil_stats():
+    """Each pinned sweep_weil once, shared by its hash pin and its companion."""
+    return {key: harness.sweep_weil(*pin["args"]) for key, pin in PINNED_WEIL.items()}
+
+
+def test_batched_oracle_sweeps_pinned(weil_stats):
     # stats hashed from the per-curve towers that the batched tower replaced
     eq = harness.sweep_oracle_equivalence(5, 23, n_max=20)
     assert (eq["curves"], eq["values"], eq["skipped_curves"], eq["failures"]) == (
@@ -295,17 +305,25 @@ def test_batched_oracle_sweeps_pinned():
         [],
     )
     assert _stats_hash(eq) == "c9189161b8c1d8f402cc7130ed7e4e3dcf10895da904a79db625ac70ded8c47a"
-    weil = harness.sweep_weil(5, 13)
+    weil = weil_stats["5-13"]
     assert _stats_hash(weil) == "3d03bfe32362201c7a258b3bfd4626aedf696efc89035ed174abc7da55084ea9"
 
 
-def test_sweep_weil_stats_pinned_to_29():
+def test_sweep_weil_stats_pinned_to_29(weil_stats):
     # hashed from the sweep that took one ifft2 per (curve, ell set) and per
     # (curve, ell set, subgroup); floats and failure lists included, so the
     # hash rests on numpy's FFT build as well as on the code
-    stats = harness.sweep_weil(5, 29)
+    stats = weil_stats["5-29"]
     assert (stats["curves"], stats["spectra"], stats["subgroup_checks"]) == (2260, 6780, 13704)
     assert _stats_hash(stats) == "e3f43d2b1afc445c54dbea153e6ba0a130a96e6e75c4c6d5bf3d7728226dbceb"
+
+
+def test_sweep_weil_stats_pinned_on_any_build(weil_stats):
+    # the two hashes above hold on one numpy build; this holds on any: counts
+    # and failure lists exactly, and every float within 1e-9, as each is a
+    # ratio or gap of moduli that carry at most 2^-40 N < 4e-11 at p <= 29
+    for key, pin in PINNED_WEIL.items():
+        _assert_pinned(weil_stats[key], pin["stats"], 1e-9)
 
 
 def test_oracle_batches_hold_whole_a_values():
@@ -715,6 +733,60 @@ def test_scan_worker_count_guarded_and_capped(monkeypatch, capsys):
     assert "worker count guarded" in capsys.readouterr().err
     sweep_scan(5, 5, threads=4)  # one prime: no pool at all
     assert sizes == [3]
+
+
+# cmd_bench(0) as recorded in BENCH_19.json, with its timings (the keys in
+# BENCH_TIMINGS) as null
+PINNED_BENCH = json.loads((Path(__file__).parent / "data" / "bench_seed0.json").read_text())
+BENCH_TIMINGS = {"seconds", "max_ms", "median_ms", "peak_mib"}
+
+
+def _untimed(out: dict) -> dict:
+    """A bench payload without its timings."""
+    return {
+        k: _untimed(v) if isinstance(v, dict) else v
+        for k, v in out.items()
+        if k not in BENCH_TIMINGS
+    }
+
+
+def _key_tree(out):
+    return {k: _key_tree(v) for k, v in out.items()} if isinstance(out, dict) else None
+
+
+@pytest.fixture(scope="module")
+def bench_0():
+    return harness.cmd_bench(0)
+
+
+def test_cmd_bench_pinned(bench_0):
+    # the order_d sums are the only untimed floats: each within the err_bound
+    # of a sum of at most `terms` unit terms
+    assert _key_tree(bench_0) == _key_tree(PINNED_BENCH)
+    err = charsum.spectrum_err_bound(PINNED_BENCH["order_d"]["terms"])
+    _assert_pinned(_untimed(bench_0), _untimed(PINNED_BENCH), err)
+
+
+def test_bench_timing_rule_refuses_a_changing_result():
+    result, times = harness._timed(lambda: 7, 3)
+    assert result == 7 and len(times) == 3 and times == sorted(times)
+    results = iter([1, 1, 2])
+    with pytest.raises(AssertionError, match="run 3 of 3"):
+        harness._timed(lambda: next(results), 3)
+
+
+def test_bench_entries_draw_from_streams_of_their_own(bench_0, monkeypatch):
+    # each entry alone returns what it returns inside cmd_bench, and no two
+    # entries open the same stream, so that adding or reordering an entry
+    # moves no other entry's draws
+    opened = {}
+    for name, entry in harness.BENCH_ENTRIES.items():
+        keys = opened[name] = set()
+        monkeypatch.setattr(
+            harness, "stream", lambda seed, key, keys=keys: keys.add(key) or stream(seed, key)
+        )
+        assert _untimed(entry(0)) == _untimed(bench_0[name])
+    assert sum(map(len, opened.values())) == len(set().union(*opened.values()))
 
 
 # -- CLI exit codes and output --------------------------------------------------------------

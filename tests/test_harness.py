@@ -355,6 +355,45 @@ def test_sweep_small_fields_smoke():
     }
 
 
+@pytest.fixture
+def cleared_fields():
+    field.cache_clear()  # every prime builds its tables in the test
+    yield
+    field.cache_clear()  # no table of the test outlives it
+
+
+def test_sweep_small_fields_failures_pinned(monkeypatch, cleared_fields):
+    # at p = 11 the pow table's entry 3 is moved by one (mod p, skipping 0):
+    # every shift block that reads g^3 fails, and the records are pinned
+    dlog_tables = PrimeField.dlog_tables
+
+    def moved(self):
+        log_arr, pow_arr = dlog_tables(self)
+        if self.p == 11:
+            pow_arr = pow_arr.copy()
+            pow_arr[3] = pow_arr[3] % 10 + 1
+        return log_arr, pow_arr
+
+    monkeypatch.setattr(PrimeField, "dlog_tables", moved)
+    stats = harness.sweep_small_fields(5, 13)
+    assert len(stats["failures"]) == 620
+    assert {f["check"] for f in stats["failures"]} == {"shift"}
+    assert stats["failures"][0] == {
+        "view": "EdsView(p=11, a=0, b=1, point=(0,10), r=3)",
+        "check": "shift",
+        "s": 3,
+    }
+    assert (stats["shift_checks"], stats["chi_period_2r"], stats["period_samples"]) == (
+        136_744,
+        1_573,
+        56,
+    )
+    text = json.dumps(stats, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "92422ddf6fbc531ea05e7cd9a696a813dc20009779f28a928028c99806dcf3a9"
+    )
+
+
 def test_sweep_recurrence_smoke():
     assert harness.sweep_recurrence(200, seed=1) == {"tuples": 200, "views": 200, "failures": []}
 

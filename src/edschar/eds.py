@@ -43,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .curve import EllipticCurve, Point, _hasse_interval, point_order
-from .field import factorize
+from .field import PrimeField, factorize
 from .rng import SplitMix64
 
 
@@ -55,25 +55,18 @@ def _check_index(n: int) -> None:
         raise ValueError("sequence index guarded at |n| < 2**512")
 
 
-def _psi3_f4(curve: EllipticCurve, x: int) -> tuple[int, int]:
-    """(psi_3, f_4) at abscissa x, where psi_4 = y * f_4."""
-    p, a, b = curve.p, curve.a, curve.b
+def _psi3_f4(p: int, a, b, x):
+    """(psi_3, f_4) at abscissa x on y^2 = x^3 + ax + b, where psi_4 = y * f_4:
+    on ints, or on int64 arrays of residues (a and b per row or shared).  Every
+    product is reduced below p**2 before the next, so int64 arrays with
+    (p - 1)**2 < 2**63 cannot overflow."""
     x2 = x * x % p
     x3 = x2 * x % p
-    psi3 = (3 * x2 * x2 + 6 * a * x2 + 12 * b * x - a * a) % p
-    f4 = (
-        4
-        * (
-            x3 * x3
-            + 5 * a * x2 * x2
-            + 20 * b * x3
-            - 5 * a * a % p * x2
-            - 4 * a * b % p * x
-            - 8 * b * b
-            - a * a % p * a
-        )
-        % p
-    )
+    x4 = x2 * x2 % p
+    aa = a * a % p
+    psi3 = (3 * x4 + 6 * (a * x2 % p) + 12 * (b * x % p) - aa) % p
+    f4 = 4 * (x3 * x3 % p + 5 * (a * x4 % p) + 20 * (b * x3 % p) - 5 * (aa * x2 % p)
+              - 4 * (a * b % p * x % p) - 8 * (b * b % p) - aa * a % p) % p
     return psi3, f4
 
 
@@ -106,7 +99,7 @@ class PsiEvaluator:
         p = curve.p
         self.p = p
         psi2 = self.psi2 = 2 * point.y % p
-        psi3, f4 = _psi3_f4(curve, point.x)
+        psi3, f4 = _psi3_f4(p, curve.a, curve.b, point.x)
         self.psi3 = psi3
         psi4 = self.psi4 = point.y * f4 % p
         self._inv_psi2 = pow(psi2, -1, p)
@@ -208,7 +201,7 @@ class EdsView(PsiEvaluator):
         if 0 in (w_b1, w_b2, w_a1, w_a2):
             raise AssertionError("psi vanished off the multiples of r")
         self.mult_a = w_b1 * psi2 % p * pow(w_b2, -1, p) % p
-        self.mult_b = -w_b1 * w_b1 % p * psi2 % p * pow(w_b2, -1, p) % p
+        self.mult_b = -w_b1 * self.mult_a % p
         if (
             self.mult_a != w_a2 * pow(w_a1 * psi2 % p, -1, p) % p
             or self.mult_b != w_a1 * w_a1 % p * psi2 % p * pow(w_a2, -1, p) % p
@@ -238,9 +231,20 @@ def _halve(a, b, c, d, e, p: int, inv2: int):
 
 
 # levels m below this run on Python ints: numpy's per-call overhead loses on
-# the short windows that the exhaustive small-field sweeps build by the
-# hundred thousand
+# the short windows that the oracle sweeps and scan build one view at a time
 SCALAR_LEVELS = 64
+
+
+def _levels(out: np.ndarray, lo: int, half: int, p: int, inv2) -> None:
+    """Levels m in [lo, half] along the last axis of `out` (inv2 a value or a
+    column), given psi_0 .. psi_{max(2 lo - 1, 4)}: each step runs all m in
+    [lo, max(2 lo - 3, lo)], whose inputs up to psi_{m+2} are built."""
+    while lo <= half:
+        hi = min(max(2 * lo - 3, lo), half)
+        even, odd = _halve(*(out[..., lo + j : hi + j + 1] for j in range(-2, 3)), p, inv2)
+        out[..., 2 * lo : 2 * hi + 1 : 2] = even
+        out[..., 2 * lo + 1 : 2 * hi + 2 : 2] = odd
+        lo = hi + 1
 
 
 def psi_window(ev: PsiEvaluator, n_max: int) -> np.ndarray:
@@ -248,10 +252,9 @@ def psi_window(ev: PsiEvaluator, n_max: int) -> np.ndarray:
 
     Level m >= 2 turns psi_{m-2} .. psi_{m+2} into psi_{2m} and psi_{2m+1}
     (level 2 rewrites psi_4 with itself).  Levels m < SCALAR_LEVELS run one
-    at a time on ints; above that, all m in [lo, min(2 lo - 3, n_max // 2)]
-    run as one array step, because m + 2 < 2 lo means every input was built
-    by an earlier step.  The only division is by psi_2, so zeros of the
-    sequence need no special case.
+    at a time on ints; above that, _levels runs all m in
+    [lo, min(2 lo - 3, n_max // 2)] as one array step.  The only division is
+    by psi_2, so zeros of the sequence need no special case.
 
     The dtype is int64 when (p - 1)**2 < 2**63 and object (Python ints)
     above that; the values are canonical residues either way.
@@ -269,14 +272,23 @@ def psi_window(ev: PsiEvaluator, n_max: int) -> np.ndarray:
     # the last level may build psi_{n_max+1}
     out = np.empty(2 * half + 2, dtype=dtype)
     out[: 2 * cut] = w[: 2 * cut]
-    lo = cut
-    while lo <= half:
-        hi = min(2 * lo - 3, half)
-        even, odd = _halve(*(out[lo + j : hi + j + 1] for j in range(-2, 3)), p, inv2)
-        out[2 * lo : 2 * hi + 1 : 2] = even
-        out[2 * lo + 1 : 2 * hi + 2 : 2] = odd
-        lo = hi + 1
+    _levels(out, cut, half, p, inv2)
     return out[: n_max + 1]
+
+
+def psi_windows(fld: PrimeField, a, b, x, y, n_max: int) -> np.ndarray:
+    """psi_window at many points: row i is [psi_0, .., psi_n_max] at (x[i], y[i])
+    on y^2 = x^3 + a[i] x + b[i], y[i] != 0, from int64 arrays of residues
+    (p <= 2**22); every level is one array step over all rows."""
+    p = fld.p
+    half = max(n_max >> 1, 2)
+    out = np.empty((len(x), 2 * half + 2), dtype=np.int64)
+    psi2 = 2 * y % p
+    psi3, f4 = _psi3_f4(p, a, b, x)
+    out[:, :2] = 0, 1
+    out[:, 2], out[:, 3], out[:, 4] = psi2, psi3, y * f4 % p
+    _levels(out, 2, half, p, fld.inverse_table()[psi2][:, None])
+    return out[:, : max(n_max + 1, 0)]
 
 
 def psi_sequence(view: EdsView, n_max: int) -> Iterator[int]:
@@ -341,7 +353,7 @@ def x_only_psi(curve: EllipticCurve, x0: int, n: int) -> int:
     c = curve.rhs(x0)  # y^2 on the curve
     c2 = c * c % p
     inv2 = (p + 1) // 2
-    psi3, f4 = _psi3_f4(curve, x0)
+    psi3, f4 = _psi3_f4(p, curve.a, curve.b, x0)
     # the indices the halving recurrences reach from n, level by level down
     # to the closed forms: each level is a short run around m - 2 .. m + 2
     need, level = {n}, {n}

@@ -31,12 +31,14 @@ from .curve import (
     enumerate_points,
     group_structure,
     is_nonsingular,
+    point_order,
 )
 from .eds import (
     EdsView,
     PsiEvaluator,
     psi_sequence,
     psi_window,
+    psi_windows,
     recurrence_residual,
     sequence_period,
     verify_index_product,
@@ -157,96 +159,115 @@ def sweep_recurrence(n_tuples: int = 10_000, seed: int = 0) -> dict:
 
 
 SHIFT_BLOCKS = 5  # the shift identity at s <= 5 (README criterion 2)
+# sweep_small_fields holds at most about SMALL_FIELD_ROWS views (2.3 MiB) and
+# checks them in blocks of at most SMALL_FIELD_CELLS window cells (1.5 MiB)
+SMALL_FIELD_ROWS = 1 << 14
+SMALL_FIELD_CELLS = 1 << 16
 
 
-def _check_view_small(view: EdsView, stats: dict, deep_period: bool) -> None:
-    fld = view.curve.field
-    p, r = fld.p, view.r
-    wlen = (SHIFT_BLOCKS + 1) * r + 3
-    arr = psi_window(view, wlen)[1:]  # arr[k-1] = psi_k
+def _check_rows(fld: PrimeField, r: int, rows: np.ndarray, ids: np.ndarray, stats, fails):
+    """The criteria 2 and 4 checks on views (a, b, x, y, r) of one point order
+    r, numbered ids: a failing view gets one record in fails."""
+    p = fld.p
+    n = (SHIFT_BLOCKS + 1) * r + 3
+    w = psi_windows(fld, *rows[:, :4].T, n)[:, 1:]  # w[:, k-1] = psi_k
+    live = np.ones(len(rows), dtype=bool)
+
+    def view(j: int) -> EdsView:
+        a, b, x, y, _ = rows[j].tolist()
+        return EdsView(EllipticCurve(fld, a, b), Point(x, y), r)
+
+    def fail(mask, check: str, **cols) -> None:
+        for j in np.flatnonzero(live & mask).tolist():
+            extra = {key: int(col[j]) for key, col in cols.items()}
+            fails[int(ids[j])] = {"view": repr(view(j)), "check": check, **extra}
+        live[mask] = False
 
     # zeros exactly at the multiples of the point order
-    zero_idx = np.flatnonzero(arr == 0) + 1
-    if not np.array_equal(zero_idx, np.arange(r, wlen + 1, r)):
-        stats["failures"].append({"view": repr(view), "check": "zero-pattern"})
-        return
+    k = np.arange(1, n + 1)
+    fail(((w == 0) != (k % r == 0)).any(axis=1), "zero-pattern")
+
+    # the shift constants in both forms, as EdsView computes them
+    inv, psi2 = fld.inverse_table(), w[:, 1]
+    b2, b1, a1, a2 = (w[:, r - 1 + d] for d in (-2, -1, 1, 2))
+    mult_a = b1 * psi2 % p * inv[b2] % p
+    mult_b = -b1 * mult_a % p
+    post_a, post_b = a2 * inv[a1 * psi2 % p] % p, a1 * a1 % p * psi2 % p * inv[a2] % p
+    if ((mult_a != post_a) | (mult_b != post_b))[live].any():
+        raise AssertionError(f"shift-constant forms disagree at p = {p}, r = {r}")
 
     # shift blocks: psi_{sr+k} = a^(ks) b^(s^2) psi_k, via discrete logs, for
-    # every s <= SHIFT_BLOCKS at once (row s - 1 is block s)
+    # every s <= SHIFT_BLOCKS at once (axis 1 holds block s at s - 1)
     log_arr, pow_arr = fld.dlog_tables()
-    la, lb = int(log_arr[view.mult_a]), int(log_arr[view.mult_b])
-    ks = np.arange(1, r + 1, dtype=np.int64)
-    ss = np.arange(1, SHIFT_BLOCKS + 1, dtype=np.int64)[:, None]
-    mult = pow_arr[(la * ss * ks + lb * ss * ss) % (p - 1)]
-    blocks = arr[r : (SHIFT_BLOCKS + 1) * r].reshape(SHIFT_BLOCKS, r)
-    bad = np.flatnonzero((blocks != mult * arr[:r] % p).any(axis=1))
-    if len(bad):
-        stats["shift_checks"] += int(bad[0]) * r
-        stats["failures"].append({"view": repr(view), "check": "shift", "s": int(bad[0]) + 1})
-        return
-    stats["shift_checks"] += SHIFT_BLOCKS * r
+    la, lb = (log_arr[m].astype(np.int64)[:, None, None] for m in (mult_a, mult_b))
+    s = np.arange(1, SHIFT_BLOCKS + 1)[:, None]
+    mult = pow_arr[(la * s * k[:r] + lb * s * s) % (p - 1)]
+    blocks = w[:, r : (SHIFT_BLOCKS + 1) * r].reshape(len(rows), SHIFT_BLOCKS, r)
+    bad = (blocks != mult * w[:, None, :r] % p).any(axis=2)
+    first = np.where(bad.any(axis=1), bad.argmax(axis=1), SHIFT_BLOCKS)
+    stats["shift_checks"] += int(first[live].sum()) * r
+    fail(first < SHIFT_BLOCKS, "shift", s=first + 1)
 
-    # quadratic character window: minimal period is r or 2r, matching the
-    # prediction from the character values of the shift constants
-    chi6 = fld.chi_table()[arr]
-    if np.array_equal(chi6[:-r], chi6[r:]):
-        found = r
-    elif np.array_equal(chi6[: -2 * r], chi6[2 * r :]):
-        found = 2 * r
-    else:
-        stats["failures"].append({"view": repr(view), "check": "chi-period"})
-        return
-    predicted = charsum.order_d_period(view, 2)
-    if found != predicted:
-        stats["failures"].append(
-            {
-                "view": repr(view),
-                "check": "chi-period-prediction",
-                "found": found,
-                "predicted": predicted,
-            }
-        )
-        return
-    stats["chi_period_r" if found == r else "chi_period_2r"] += 1
+    # quadratic character window: minimal period r or 2r, 2r exactly when chi
+    # of a shift constant is -1 (charsum.order_d_period at d = 2)
+    chi_table = fld.chi_table()
+    chi = chi_table[w]
+    period_r, period_2r = ((chi[:, :-t] == chi[:, t:]).all(axis=1) for t in (r, 2 * r))
+    found = np.where(period_r, r, np.where(period_2r, 2 * r, 0))
+    fail(found == 0, "chi-period")
+    predicted = np.where((chi_table[mult_a] < 0) | (chi_table[mult_b] < 0), 2 * r, r)
+    fail(found != predicted, "chi-period-prediction", found=found, predicted=predicted)
+    stats["chi_period_r"] += int((live & (found == r)).sum())
+    stats["chi_period_2r"] += int((live & (found == 2 * r)).sum())
 
-    if deep_period:
+    # the period's minimality on every 50th view
+    for j in np.flatnonzero(live & (ids % 50 == 0)).tolist():
         stats["period_samples"] += 1
-        sp = sequence_period(view, spot_checks=20, seed=p)
-        s0 = sp.shift_steps
-        deep = psi_window(view, s0 * r + 3)
+        v = view(j)
+        s0 = sequence_period(v, spot_checks=20, seed=p).shift_steps
+        deep = psi_window(v, s0 * r + 3)
         s = np.arange(1, s0)
         early = s[(deep[1 + s * r] == deep[1]) & (deep[2 + s * r] == deep[2])]
         if len(early):
-            stats["failures"].append(
-                {"view": repr(view), "check": "period-minimality", "s": int(early[0])}
-            )
-            return
+            fails[int(ids[j])] = {"view": repr(v), "check": "period-minimality", "s": int(early[0])}
 
 
 def sweep_small_fields(p_min: int = 5, p_max: int = 50) -> dict:
     """Exhaustive shift-identity and character-period check: every nonsingular
-    curve over every prime in [p_min, p_max], every point with y != 0."""
-    stats = {
-        "curves": 0,
-        "views": 0,
-        "skipped_points": 0,
-        "shift_checks": 0,
-        "chi_period_r": 0,
-        "chi_period_2r": 0,
-        "period_samples": 0,
-        "failures": [],
-    }
+    curve over every prime in [p_min, p_max], every point with y != 0.  The
+    views of a prime are checked about SMALL_FIELD_ROWS at a time, in blocks
+    of one point order r; failure records come out in view order."""
+    counts = "curves views skipped_points shift_checks chi_period_r chi_period_2r period_samples"
+    stats: dict = {**dict.fromkeys(counts.split(), 0), "failures": []}
+
+    def check(rows: list) -> None:
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 5)
+        ids = stats["views"] + np.arange(len(rows))
+        stats["views"] += len(rows)
+        fails: dict[int, dict] = {}
+        by_r = np.argsort(rows[:, 4], kind="stable")
+        rs, starts = np.unique(rows[by_r, 4], return_index=True)
+        for r, group in zip(rs.tolist(), np.split(by_r, starts[1:])):
+            step = max(SMALL_FIELD_CELLS // ((SHIFT_BLOCKS + 1) * r + 4), 1)
+            for lo in range(0, len(group), step):
+                block = group[lo : lo + step]
+                _check_rows(fld, r, rows[block], ids[block], stats, fails)
+        stats["failures"] += [fails[i] for i in sorted(fails)]
+
     for p in primes_in(p_min, p_max):
-        for curve in all_curves(field(p)):
+        fld = field(p)
+        rows: list[tuple[int, ...]] = []  # (a, b, x, y, r) in (curve, point) order
+        for curve in all_curves(fld):
             stats["curves"] += 1
             for pt in enumerate_points(curve):
                 if pt is None or pt.y == 0:
                     stats["skipped_points"] += 1
-                    continue
-                view = EdsView(curve, pt)
-                # the period's minimality on every 50th view
-                _check_view_small(view, stats, deep_period=stats["views"] % 50 == 0)
-                stats["views"] += 1
+                else:
+                    rows.append((curve.a, curve.b, pt.x, pt.y, point_order(curve, pt)))
+            if len(rows) >= SMALL_FIELD_ROWS:
+                check(rows)
+                rows = []
+        check(rows)
     return stats
 
 
@@ -716,9 +737,16 @@ def cmd_verify(
 
     def chk_period() -> int:
         # the spot checks of sequence_period raise on a wrong period; chi_period
-        # is r or 2r by construction, so only the prediction can fail
+        # is r or 2r by construction, so only the prediction can fail.  With
+        # chi(a) = 1 the shift identity forces T(a') = 0 wherever
+        # chi(b) (-1)^a' = -1; the spectrum reads chi_period's window
         sequence_period(view, spot_checks=min(trials, 100), seed=seed)
-        return int(charsum.chi_period(view) != charsum.order_d_period(view, 2))
+        failed = int(charsum.chi_period(view) != charsum.order_d_period(view, 2))
+        chi = curve.field.chi
+        if chi(view.mult_a) == 1 and view.window_length <= charsum.COMPLETE_MAX:
+            forced = charsum.complete_spectrum(view)[(1 + chi(view.mult_b)) // 2 :: 2]
+            failed += bool(np.abs(forced).max() > charsum.spectrum_err_bound(view.window_length))
+        return failed
 
     def chk_weil() -> int:
         failed = 0

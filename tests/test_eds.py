@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edschar.curve import EllipticCurve, Point, enumerate_points, point_order
+from edschar.curve import EllipticCurve, Point, all_curves, enumerate_points, point_order
 from edschar.eds import (
     INDEX_LIMIT,
     SCALAR_LEVELS,
     EdsView,
     PsiEvaluator,
+    _psi3_f4,
     least_shift,
     psi_sequence,
     psi_window,
+    psi_windows,
     recurrence_residual,
     sequence_period,
     verify_index_product,
@@ -259,6 +261,66 @@ def test_window_dtype_follows_the_int64_bound():
         w = psi_window(view, n_max)
         assert w.dtype == dtype
         assert w.tolist() == [view.psi(n) for n in range(n_max + 1)]
+
+
+# lengths below 12, at the batch's level boundaries (one step runs levels m in
+# [lo, max(2 lo - 3, lo)] and level m ends at psi_{2m+1}) and around the end
+# of psi_window's scalar head
+BATCH_LENGTHS = (
+    *range(12),
+    19,
+    20,
+    35,
+    36,
+    67,
+    68,
+    2 * SCALAR_LEVELS - 1,
+    2 * SCALAR_LEVELS,
+    2 * SCALAR_LEVELS + 1,
+    259,
+    260,
+)
+
+
+@pytest.mark.parametrize("p", [5, 13, 47])
+def test_psi_windows_match_psi_window_row_for_row(p):
+    # every curve and every point with y != 0, at BATCH_LENGTHS and at
+    # 6r + 3 (the small-field sweep's length), in chunks of rows
+    fld = field(p)
+    views = [(c, q) for c in all_curves(fld) for q in enumerate_points(c) if q is not None and q.y]
+    top = max(*BATCH_LENGTHS, 6 * (p + 1 + 2 * int(p**0.5) + 1) + 3)
+    for lo in range(0, len(views), 2048):
+        chunk = views[lo : lo + 2048]
+        rows = np.array([(c.a, c.b, q.x, q.y) for c, q in chunk]).T
+        expected = np.array([psi_window(PsiEvaluator(c, q), top) for c, q in chunk])
+        for n_max in BATCH_LENGTHS:
+            got = psi_windows(fld, *rows, n_max)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected[:, : n_max + 1]), n_max
+        orders = (expected[:, 1:] == 0).argmax(axis=1) + 1
+        for r in np.unique(orders).tolist():
+            same = orders == r
+            got = psi_windows(fld, *rows[:, same], 6 * r + 3)
+            assert np.array_equal(got, expected[same, : 6 * r + 4]), r
+
+
+@pytest.mark.parametrize("p", [5, 13, 47, 3_037_000_493])
+def test_psi3_f4_arrays_match_ints(p):
+    # every (a, b, x) over the small fields; at the largest prime with
+    # (p - 1)**2 < 2**63, seeded residues, half of them near p, where an
+    # unreduced product of three would overflow int64
+    if p < 100:
+        a, b, x = (v.ravel() for v in np.indices((p, p, p)))
+    else:
+        rng = SplitMix64(p)
+        a, b, x = (
+            np.array([p - 1 - rng.randrange(0, 1000) if i % 2 else rng.randrange(0, p) for i in range(500)])
+            for _ in range(3)
+        )
+    psi3, f4 = _psi3_f4(p, a, b, x)
+    assert psi3.dtype == f4.dtype == np.int64
+    expected = [_psi3_f4(p, *abx) for abx in zip(a.tolist(), b.tolist(), x.tolist())]
+    assert list(zip(psi3.tolist(), f4.tolist())) == expected
 
 
 def test_index_guard(f5_view):

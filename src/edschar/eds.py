@@ -23,7 +23,8 @@ the point order r, the order-shift constants and the character windows built
 from it (so they are freed with it).  :func:`psi_window` takes any evaluator
 and applies the same recurrences bottom-up to build psi_0 .. psi_N as a numpy
 array, one whole level of indices per step, dividing only by psi_2 (int64
-when (p - 1)^2 < 2^63, object dtype above).  The stream :func:`psi_sequence`
+when (p - 1)^2 < 2^63, object dtype above); :func:`psi_windows` runs those
+levels over one row per point.  The stream :func:`psi_sequence`
 advances one index at a time with the four-term recurrence
 
     psi_{n+2} psi_{n-2} = psi_{n+1} psi_{n-1} psi_2^2 - psi_3 psi_n^2,
@@ -230,20 +231,23 @@ def _halve(a, b, c, d, e, p: int, inv2: int):
     return even, odd
 
 
-# levels m below this run on Python ints: numpy's per-call overhead loses on
-# the short windows that the oracle sweeps and scan build one view at a time
+# levels m below this run on Python ints, where numpy's per-call overhead
+# loses: at p in {101, 997, 9973} the head makes psi_window about 4x faster
+# at n = 50 and 15-25 % faster at n = 2r of 754 and 2012.  Its users build
+# one window per view: the oracle sweeps and scan (and query's sums)
 SCALAR_LEVELS = 64
 
 
 def _levels(out: np.ndarray, lo: int, half: int, p: int, inv2) -> None:
-    """Levels m in [lo, half] along the last axis of `out` (inv2 a value or a
-    column), given psi_0 .. psi_{max(2 lo - 1, 4)}: each step runs all m in
+    """Levels m in [lo, half] along the first axis of `out` (first, so that a
+    lone window's slices stay plain; columns are points, inv2 then a row),
+    given psi_0 .. psi_{max(2 lo - 1, 4)}: each step runs all m in
     [lo, max(2 lo - 3, lo)], whose inputs up to psi_{m+2} are built."""
     while lo <= half:
         hi = min(max(2 * lo - 3, lo), half)
-        even, odd = _halve(*(out[..., lo + j : hi + j + 1] for j in range(-2, 3)), p, inv2)
-        out[..., 2 * lo : 2 * hi + 1 : 2] = even
-        out[..., 2 * lo + 1 : 2 * hi + 2 : 2] = odd
+        even, odd = _halve(*(out[lo + j : hi + j + 1] for j in range(-2, 3)), p, inv2)
+        out[2 * lo : 2 * hi + 1 : 2] = even
+        out[2 * lo + 1 : 2 * hi + 2 : 2] = odd
         lo = hi + 1
 
 
@@ -282,13 +286,13 @@ def psi_windows(fld: PrimeField, a, b, x, y, n_max: int) -> np.ndarray:
     (p <= 2**22); every level is one array step over all rows."""
     p = fld.p
     half = max(n_max >> 1, 2)
-    out = np.empty((len(x), 2 * half + 2), dtype=np.int64)
+    out = np.empty((2 * half + 2, len(x)), dtype=np.int64)
     psi2 = 2 * y % p
     psi3, f4 = _psi3_f4(p, a, b, x)
-    out[:, :2] = 0, 1
-    out[:, 2], out[:, 3], out[:, 4] = psi2, psi3, y * f4 % p
-    _levels(out, 2, half, p, fld.inverse_table()[psi2][:, None])
-    return out[:, : max(n_max + 1, 0)]
+    out[:2] = [[0], [1]]
+    out[2], out[3], out[4] = psi2, psi3, y * f4 % p
+    _levels(out, 2, half, p, fld.inverse_table()[psi2])
+    return out[: max(n_max + 1, 0)].T
 
 
 def psi_sequence(view: EdsView, n_max: int) -> Iterator[int]:

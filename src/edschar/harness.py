@@ -237,8 +237,16 @@ def sweep_small_fields(p_min: int = 5, p_max: int = 50) -> dict:
     curve over every prime in [p_min, p_max], every point with y != 0.  The
     views of a prime are checked about SMALL_FIELD_ROWS at a time, in blocks
     of one point order r; failure records come out in view order."""
-    counts = "curves views skipped_points shift_checks chi_period_r chi_period_2r period_samples"
-    stats: dict = {**dict.fromkeys(counts.split(), 0), "failures": []}
+    stats = {
+        "curves": 0,
+        "views": 0,
+        "skipped_points": 0,
+        "shift_checks": 0,
+        "chi_period_r": 0,
+        "chi_period_2r": 0,
+        "period_samples": 0,
+        "failures": [],
+    }
 
     def check(rows: list) -> None:
         rows = np.array(rows, dtype=np.int64).reshape(-1, 5)

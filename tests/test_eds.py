@@ -277,6 +277,8 @@ BATCH_LENGTHS = (
     2 * SCALAR_LEVELS - 1,
     2 * SCALAR_LEVELS,
     2 * SCALAR_LEVELS + 1,
+    131,
+    132,
     259,
     260,
 )

@@ -364,6 +364,53 @@ def test_sweep_weil_stats_pinned_on_any_build(weil_stats):
         _assert_pinned(weil_stats[key], pin["stats"], 1e-9)
 
 
+def _moved_windows(monkeypatch):
+    """Wrap harness.psi_window so that every window it returns has one
+    seeded entry psi_n (1 <= n <= n_max) moved by +1 mod p."""
+    window, rng = harness.psi_window, SplitMix64(5)
+
+    def moved(view, n_max):
+        w = window(view, n_max).copy()
+        n = rng.randrange(1, n_max + 1)
+        w[n] = (int(w[n]) + 1) % view.p
+        return w
+
+    monkeypatch.setattr(harness, "psi_window", moved)
+
+
+# sha256 of each oracle sweep's stats, as computed, and with every window
+# moved by _moved_windows: the failure records' first bad n, layout and order
+ORACLE_PINS = {
+    "random": (
+        lambda: harness.sweep_oracle_random(2, seed=1, n_max=300),
+        "2871caa4082ed7b8a02c8a1a79b15ced329ff68788e21bdd972edd06267301ba",
+        "d462c3e1c2007cb1da40b4d90bc3e0eadc90109c094968dd8dccd7b440d55b80",
+    ),
+    "equivalence": (
+        lambda: harness.sweep_oracle_equivalence(5, 13, 20),
+        "89155246e740d67efc62c78953c0bb697ce2b71b1c6618217a91491dac3b4a3c",
+        "a8c69e271f499c323991e7b11e7794f16a2979e06c49e2dce4a90d821309c343",
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(ORACLE_PINS))
+def test_oracle_sweep_pinned(sweep):
+    run, digest, _ = ORACLE_PINS[sweep]
+    stats = run()
+    assert stats["failures"] == []
+    assert _stats_hash(stats) == digest
+
+
+@pytest.mark.parametrize("sweep", sorted(ORACLE_PINS))
+def test_oracle_sweep_failures_pinned(sweep, monkeypatch):
+    run, _, digest = ORACLE_PINS[sweep]
+    _moved_windows(monkeypatch)
+    stats = run()
+    assert stats["failures"]
+    assert _stats_hash(stats) == digest
+
+
 def test_oracle_batches_hold_whole_a_values():
     for p in (5, 19, 37):
         batches = list(harness._curve_batches(p))

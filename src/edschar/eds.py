@@ -18,7 +18,10 @@ the zero set is the multiples of r = ord(P).
 Three evaluation strategies are provided.  :class:`PsiEvaluator` walks an
 8-term block of consecutive values down the bits of n with the halving
 recurrences (one step per bit, constant memory, no memo and no recursion;
-usable for |n| < 2**512); :class:`EdsView` is a PsiEvaluator that also holds
+usable for |n| < 2**512); :func:`psi_ladder` runs the same ladder step over
+rows of lanes, one lane per (view, n), every lane starting at the seed block
+at the top three bits of n (int64 when (p - 1)^2 < 2^63, object dtype
+above); :class:`EdsView` is a PsiEvaluator that also holds
 the point order r, the order-shift constants and the character windows built
 from it (so they are freed with it).  :func:`psi_window` takes any evaluator
 and applies the same recurrences bottom-up to build psi_0 .. psi_N as a numpy
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +74,23 @@ def _psi3_f4(p: int, a, b, x):
     return psi3, f4
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # bin() digits to bit values
+
+
+class _RowInverse:
+    """psi_2^-1 per row, for _walk on int64 lanes: `e * inv` reduces e mod p
+    first, so that no product leaves int64 ((p - 1)**2 < 2**63).  Ints skip
+    that reduction, which would cost them about 5 %."""
+
+    __array_ufunc__ = None  # numpy defers `array * inv` to __rmul__
+
+    def __init__(self, inv: np.ndarray, p: int):
+        self.inv, self.p = inv, p
+
+    def __rmul__(self, e: np.ndarray) -> np.ndarray:
+        return e % self.p * self.inv
+
+
 class PsiEvaluator:
     """psi_n at a fixed affine point with y != 0, by an 8-term block ladder.
 
@@ -78,7 +98,11 @@ class PsiEvaluator:
     [psi_{k-3}, ..., psi_{k+4}] from k to 2k or 2k + 1 by the halving
     formulas: the EDS double-and-add of Shipsey (PhD thesis, 2000) in the
     block form of Stange ("The Tate pairing via elliptic nets", 2007).  One
-    step per bit of n, constant memory, no recursion.
+    step per bit of n, constant memory, no recursion.  The walk starts at the
+    seed block at k = n >> shift in [0, 8), shift = bitlen(n) - 3.  The same
+    step (_walk) runs on rows of lanes for psi_ladder: there every lane walks
+    shift = bitlen(max n) - 3 steps, so small n start at k = 0, from which
+    the ladder is valid too (the seed itself is walked 0 -> 1 -> 3 -> 7).
 
     Safe for concurrent readers: everything the evaluator keeps (psi_2,
     psi_3, psi_4, the inverse of psi_2 and the seed block psi_{-3..11}) is
@@ -107,7 +131,7 @@ class PsiEvaluator:
         # psi_{-3..4} by the sign rule is the block at 0; walking it to the
         # block at 7 (0 -> 1 -> 3 -> 7) adds psi_5 .. psi_11
         at_zero = (-psi3 % p, -psi2 % p, p - 1, 0, 1, psi2, psi3, psi4)
-        self._seed = at_zero[:7] + self._walk(at_zero, 7, 3)
+        self._seed = at_zero[:7] + self._walk(at_zero, 7, 3, p, self._inv_psi2)
 
     def psi(self, n: int) -> int:
         """psi_n(P) as a canonical int, for any integer |n| < 2**512."""
@@ -123,10 +147,13 @@ class PsiEvaluator:
         three bits of n, walked down the remaining bits."""
         shift = max(n.bit_length() - 3, 0)
         k = n >> shift
-        return self._walk(self._seed[k : k + 8], n, shift)
+        return self._walk(self._seed[k : k + 8], n, shift, self.p, self._inv_psi2)
 
-    def _walk(self, block: tuple[int, ...], n: int, steps: int) -> tuple[int, ...]:
-        """The block at n, from `block` at n >> steps, one step per low bit.
+    @staticmethod
+    def _walk(block, n, steps: int, p: int, inv2):
+        """The block at n, from `block` at n >> steps, one step per low bit:
+        on ints, or on rows of lanes (n an int64 array of lane indices; the
+        eight block entries and inv2 arrays that broadcast with it).
 
         For the block w at k (w_j = psi_{k-3+j}) let S_j = w_j^2 and
         P_j = w_{j-1} w_{j+1}.  At m = k-3+j the halving formulas read
@@ -134,39 +161,44 @@ class PsiEvaluator:
             psi_{2m+1} = P_{j+1} S_j - P_j S_{j+1},
             psi_{2m} psi_2 = P_{j+1} S_{j-1} - P_{j-1} S_{j+1},
 
-        so S_1..S_6 and P_1..P_6 give psi_{2k-3} .. psi_{2k+5}: the block at
-        2k is the first eight of them, the block at 2k + 1 the last eight.
+        so S_1..S_6 and P_1..P_6 give T_0..T_8 = psi_{2k-3} .. psi_{2k+5}: the
+        block at 2k is T_0..T_7, the block at 2k + 1 is T_1..T_8.  An int walk
+        builds only the end term its bit keeps; rows build both and pick per
+        lane.  Rows pass inv2 as a _RowInverse, which reduces each even term
+        before its product with psi_2^-1, so that int64 lanes with
+        (p - 1)**2 < 2**63 cannot overflow.
         """
-        p = self.p
-        inv2 = self._inv_psi2
+        rows = isinstance(n, np.ndarray)
+        if rows:
+            bits = [(n >> i) & 1 for i in range(steps - 1, -1, -1)]
+        else:  # the low `steps` bits of n from the top, as bytes 0 and 1
+            bits = bin(n & ((1 << steps) - 1) | 1 << steps)[3:].encode().translate(_BITS)
         w0, w1, w2, w3, w4, w5, w6, w7 = block
-        for i in range(steps - 1, -1, -1):
+        for bit in bits:
             s1, s2, s3 = w1 * w1 % p, w2 * w2 % p, w3 * w3 % p
             s4, s5, s6 = w4 * w4 % p, w5 * w5 % p, w6 * w6 % p
             p1, p2, p3 = w0 * w2 % p, w1 * w3 % p, w2 * w4 % p
             p4, p5, p6 = w3 * w5 % p, w4 * w6 % p, w5 * w7 % p
-            if (n >> i) & 1:
+            t1 = (p3 * s1 - p1 * s3) * inv2 % p
+            t2 = (p3 * s2 - p2 * s3) % p
+            t3 = (p4 * s2 - p2 * s4) * inv2 % p
+            t4 = (p4 * s3 - p3 * s4) % p
+            t5 = (p5 * s3 - p3 * s5) * inv2 % p
+            t6 = (p5 * s4 - p4 * s5) % p
+            t7 = (p6 * s4 - p4 * s6) * inv2 % p
+            if rows or not bit:
+                t0 = (p2 * s1 - p1 * s2) % p
+            if rows or bit:
+                t8 = (p6 * s5 - p5 * s6) % p
+            if rows:
                 w0, w1, w2, w3, w4, w5, w6, w7 = (
-                    (p3 * s1 - p1 * s3) * inv2 % p,
-                    (p3 * s2 - p2 * s3) % p,
-                    (p4 * s2 - p2 * s4) * inv2 % p,
-                    (p4 * s3 - p3 * s4) % p,
-                    (p5 * s3 - p3 * s5) * inv2 % p,
-                    (p5 * s4 - p4 * s5) % p,
-                    (p6 * s4 - p4 * s6) * inv2 % p,
-                    (p6 * s5 - p5 * s6) % p,
+                    np.where(bit, hi, lo)
+                    for lo, hi in zip((t0, t1, t2, t3, t4, t5, t6, t7), (t1, t2, t3, t4, t5, t6, t7, t8))
                 )
+            elif bit:
+                w0, w1, w2, w3, w4, w5, w6, w7 = t1, t2, t3, t4, t5, t6, t7, t8
             else:
-                w0, w1, w2, w3, w4, w5, w6, w7 = (
-                    (p2 * s1 - p1 * s2) % p,
-                    (p3 * s1 - p1 * s3) * inv2 % p,
-                    (p3 * s2 - p2 * s3) % p,
-                    (p4 * s2 - p2 * s4) * inv2 % p,
-                    (p4 * s3 - p3 * s4) % p,
-                    (p5 * s3 - p3 * s5) * inv2 % p,
-                    (p5 * s4 - p4 * s5) % p,
-                    (p6 * s4 - p4 * s6) * inv2 % p,
-                )
+                w0, w1, w2, w3, w4, w5, w6, w7 = t0, t1, t2, t3, t4, t5, t6, t7
         return w0, w1, w2, w3, w4, w5, w6, w7
 
 
@@ -293,6 +325,32 @@ def psi_windows(fld: PrimeField, a, b, x, y, n_max: int) -> np.ndarray:
     out[2], out[3], out[4] = psi2, psi3, y * f4 % p
     _levels(out, 2, half, p, fld.inverse_table()[psi2])
     return out[: max(n_max + 1, 0)].T
+
+
+def psi_ladder(views: Sequence[PsiEvaluator], n_max: int) -> np.ndarray:
+    """[psi_1, .., psi_n_max] by the doubling ladder at every view: row i is
+    views[i]'s, and every (view, n) is a lane of one _walk (see _ladder_lanes)."""
+    return _ladder_lanes(views, np.arange(1, max(n_max, 0) + 1))
+
+
+def _ladder_lanes(views: Sequence[PsiEvaluator], n: np.ndarray) -> np.ndarray:
+    """psi_n at views[i] in row i, column j for n = n[j] >= 0, by one _walk.
+
+    The views must share p.  Every lane walks the same shift =
+    bitlen(max n) - 3 steps, from the seed block at k = n >> shift in [0, 8)
+    (the seed holds psi_{-3..11}, and the ladder is valid from k = 0);
+    psi_2^-1 is taken per row.  The dtype is that of psi_window: int64 when
+    (p - 1)**2 < 2**63, object above.
+    """
+    if len({v.p for v in views}) > 1:
+        raise ValueError("the doubling ladder on rows takes views of one prime")
+    p = views[0].p if views else 2
+    dtype = np.int64 if (p - 1) ** 2 < 1 << 63 else object
+    shift = max(int(n.max(initial=0)).bit_length() - 3, 0)
+    seeds = np.array([v._seed for v in views], dtype=dtype).reshape(len(views), 15)
+    inv2 = _RowInverse(np.array([[v._inv_psi2] for v in views], dtype=dtype), p)
+    block = [seeds[:, (n >> shift) + j] for j in range(8)]
+    return PsiEvaluator._walk(block, n, shift, p, inv2)[3]
 
 
 def psi_sequence(view: EdsView, n_max: int) -> Iterator[int]:

@@ -36,6 +36,11 @@ _CHI_TABLE_MAX = 1 << 22
 
 FIELD_CACHE_SIZE = 32  # fields shared by field(), least recently used evicted
 
+# primes_in sieves while the base primes up to isqrt(hi) stay below this
+# bound (a 2 MB table), in blocks of SIEVE_BLOCK cells (1 MB each)
+SIEVE_BASE_MAX = 2_000_000
+SIEVE_BLOCK = 1 << 20
+
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin test, deterministic for n < 2**64."""
@@ -412,16 +417,34 @@ def field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
+def _sieve(n: int) -> np.ndarray:
+    """The primes up to n, by the sieve of Eratosthenes."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    return np.flatnonzero(sieve)
+
+
 def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi], ascending. Sieve for small ranges, MR scan otherwise."""
+    """Primes in [lo, hi], ascending.  While isqrt(hi) <= SIEVE_BASE_MAX, the
+    segment is sieved by the base primes up to isqrt(hi), SIEVE_BLOCK cells at
+    a time; above that, a Miller-Rabin scan."""
     lo = max(lo, 2)
     if hi < lo:
         return []
-    if hi <= 2_000_000:
-        sieve = np.ones(hi + 1, dtype=bool)
-        sieve[:2] = False
-        for q in range(2, math.isqrt(hi) + 1):
-            if sieve[q]:
-                sieve[q * q :: q] = False
-        return [int(q) for q in np.nonzero(sieve)[0] if q >= lo]
-    return [n for n in range(lo | 1, hi + 1, 2) if is_probable_prime(n)]
+    root = math.isqrt(hi)
+    if root > SIEVE_BASE_MAX:
+        return [n for n in range(lo | 1, hi + 1, 2) if is_probable_prime(n)]
+    base = _sieve(root).tolist()
+    out: list[int] = []
+    for start in range(lo, hi + 1, SIEVE_BLOCK):
+        stop = min(start + SIEVE_BLOCK, hi + 1)
+        seg = np.ones(stop - start, dtype=bool)
+        for q in base:
+            if q * q >= stop:
+                break
+            seg[max(q * q, -(-start // q) * q) - start :: q] = False
+        out += (np.flatnonzero(seg) + start).tolist()
+    return out

@@ -36,6 +36,7 @@ from .curve import (
 from .eds import (
     EdsView,
     PsiEvaluator,
+    psi_ladder,
     psi_sequence,
     psi_window,
     psi_windows,
@@ -366,13 +367,14 @@ def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) 
             tower = division_poly_batch(curves, n_max)
             sym_rows = psi_batch(curves, [v.point for v in views], tower)
             del tower  # the next batch's tower is built without this one alive
-            for view, sym in zip(views, sym_rows):
+            ladder = psi_ladder(views, n_max)
+            for view, sym, dbl in zip(views, sym_rows, ladder):
                 stats["curves"] += 1
                 # rows: symbolic, doubling, window, stream; column n - 1 = psi_n
                 vals = np.array(
                     [
                         sym[1:],
-                        [view.psi(n) for n in range(1, n_max + 1)],
+                        dbl,
                         psi_window(view, n_max)[1:],
                         list(psi_sequence(view, n_max)),
                     ]
@@ -406,8 +408,7 @@ def sweep_oracle_random(n_curves: int = 50, seed: int = 0, n_max: int = 2000) ->
         stats["curves"] += 1
         curve, pt = view.curve, view.point
         w = psi_window(view, n_max)
-        ladder = np.array([view.psi(n) for n in range(1, n_max + 1)], dtype=w.dtype)
-        bad = np.flatnonzero(ladder != w[1:])
+        bad = np.flatnonzero(psi_ladder([view], n_max)[0] != w[1:])
         stats["values"] += n_max
         if len(bad):
             stats["failures"].append({**_where(curve), "n": int(bad[0]) + 1, "check": "window"})

@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from edschar.field import (
     FIELD_CACHE_SIZE,
+    SIEVE_BASE_MAX,
+    SIEVE_BLOCK,
     PrimeField,
     _powers,
     divisors,
@@ -355,3 +357,36 @@ def test_primes_in_inclusive_frozen():
     assert primes_in(5, 50) == [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     assert primes_in(5, 47)[-1] == 47
     assert primes_in(8, 10) == []
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (999_939_937, 999_999_937),  # 2 891 primes, the random oracle sweep's
+        (1_990_000, 2_010_000),  # across the bound of the old whole-range sieve
+        (3_999_999_990_000, 4_000_000_000_000),  # base primes up to SIEVE_BASE_MAX
+        (4_000_004_000_001, 4_000_004_002_000),  # past them: the Miller-Rabin scan
+    ],
+)
+def test_primes_in_segment_matches_miller_rabin(lo, hi):
+    assert primes_in(lo, hi) == [n for n in range(lo, hi + 1) if is_probable_prime(n)]
+
+
+def test_primes_in_blocks_match_one_sieve():
+    # segments longer than SIEVE_BLOCK are sieved block by block
+    top = 3_200_000
+    sieve = np.ones(top + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(top) + 1):
+        sieve[q * q :: q] = False
+    for lo in (2, 1_000_003):
+        assert lo + 2 * SIEVE_BLOCK < top
+        assert primes_in(lo, top) == (np.flatnonzero(sieve[lo:]) + lo).tolist()
+
+
+def test_primes_in_edges():
+    assert primes_in(24, 28) == [] and primes_in(4, 4) == []
+    assert primes_in(1_000_003, 1_000_003) == [1_000_003]
+    assert primes_in(999_999_937, 999_999_937) == [999_999_937]
+    assert primes_in(10, 5) == [] and primes_in(-5, 1) == []
+    assert primes_in(0, 2) == [2] and primes_in(2, 3) == [2, 3]

@@ -78,9 +78,9 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")  # bin() digits to bit values
 
 
 class _RowInverse:
-    """psi_2^-1 per row, for _walk on int64 lanes: `e * inv` reduces e mod p
-    first, so that no product leaves int64 ((p - 1)**2 < 2**63).  Ints skip
-    that reduction, which would cost them about 5 %."""
+    """psi_2^-1 per row for _walk on lanes: `e * inv` reduces e mod p first,
+    so that int64 products stay below (p - 1)**2 < 2**63.  (On ints that
+    reduction would cost the scalar ladder about 5 %.)"""
 
     __array_ufunc__ = None  # numpy defers `array * inv` to __rmul__
 
@@ -328,20 +328,15 @@ def psi_windows(fld: PrimeField, a, b, x, y, n_max: int) -> np.ndarray:
 
 
 def psi_ladder(views: Sequence[PsiEvaluator], n_max: int) -> np.ndarray:
-    """[psi_1, .., psi_n_max] by the doubling ladder at every view: row i is
-    views[i]'s, and every (view, n) is a lane of one _walk (see _ladder_lanes)."""
+    """[psi_1, .., psi_n_max] by the doubling ladder at every view of one
+    prime, row i for views[i]: one _walk over a lane per (view, n)."""
     return _ladder_lanes(views, np.arange(1, max(n_max, 0) + 1))
 
 
 def _ladder_lanes(views: Sequence[PsiEvaluator], n: np.ndarray) -> np.ndarray:
-    """psi_n at views[i] in row i, column j for n = n[j] >= 0, by one _walk.
-
-    The views must share p.  Every lane walks the same shift =
-    bitlen(max n) - 3 steps, from the seed block at k = n >> shift in [0, 8)
-    (the seed holds psi_{-3..11}, and the ladder is valid from k = 0);
-    psi_2^-1 is taken per row.  The dtype is that of psi_window: int64 when
-    (p - 1)**2 < 2**63, object above.
-    """
+    """psi_{n[j]} at views[i] in row i, column j (n >= 0).  Every lane walks
+    shift = bitlen(max n) - 3 steps from the seed block at n >> shift in
+    [0, 8); psi_2^-1 is taken per row; the dtype is psi_window's."""
     if len({v.p for v in views}) > 1:
         raise ValueError("the doubling ladder on rows takes views of one prime")
     p = views[0].p if views else 2

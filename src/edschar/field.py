@@ -36,8 +36,8 @@ _CHI_TABLE_MAX = 1 << 22
 
 FIELD_CACHE_SIZE = 32  # fields shared by field(), least recently used evicted
 
-# primes_in sieves while the base primes up to isqrt(hi) stay below this
-# bound (a 2 MB table), in blocks of SIEVE_BLOCK cells (1 MB each)
+# primes_in sieves while its base primes, up to isqrt(hi), stay below this
+# bound (148 933 of them), in blocks of SIEVE_BLOCK cells (1 MB each)
 SIEVE_BASE_MAX = 2_000_000
 SIEVE_BLOCK = 1 << 20
 
@@ -417,27 +417,17 @@ def field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def _sieve(n: int) -> np.ndarray:
-    """The primes up to n, by the sieve of Eratosthenes."""
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, math.isqrt(n) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    return np.flatnonzero(sieve)
-
-
 def primes_in(lo: int, hi: int) -> list[int]:
     """Primes in [lo, hi], ascending.  While isqrt(hi) <= SIEVE_BASE_MAX, the
-    segment is sieved by the base primes up to isqrt(hi), SIEVE_BLOCK cells at
-    a time; above that, a Miller-Rabin scan."""
+    segment is sieved SIEVE_BLOCK cells at a time by the primes up to
+    isqrt(hi), found the same way; above that, a Miller-Rabin scan."""
     lo = max(lo, 2)
     if hi < lo:
         return []
     root = math.isqrt(hi)
     if root > SIEVE_BASE_MAX:
         return [n for n in range(lo | 1, hi + 1, 2) if is_probable_prime(n)]
-    base = _sieve(root).tolist()
+    base = primes_in(2, root)
     out: list[int] = []
     for start in range(lo, hi + 1, SIEVE_BLOCK):
         stop = min(start + SIEVE_BLOCK, hi + 1)

@@ -19,9 +19,8 @@ Three evaluation strategies are provided.  :class:`PsiEvaluator` walks an
 8-term block of consecutive values down the bits of n with the halving
 recurrences (one step per bit, constant memory, no memo and no recursion;
 usable for |n| < 2**512); :func:`psi_ladder` runs the same ladder step over
-rows of lanes, one lane per (view, n), every lane starting at the seed block
-at the top three bits of n (int64 when (p - 1)^2 < 2^63, object dtype
-above); :class:`EdsView` is a PsiEvaluator that also holds
+rows of lanes, one lane per (view, index n), every lane walking the same
+number of steps (int64 when (p - 1)^2 < 2^63, object dtype above); :class:`EdsView` is a PsiEvaluator that also holds
 the point order r, the order-shift constants and the character windows built
 from it (so they are freed with it).  :func:`psi_window` takes any evaluator
 and applies the same recurrences bottom-up to build psi_0 .. psi_N as a numpy
@@ -171,7 +170,7 @@ class PsiEvaluator:
         rows = isinstance(n, np.ndarray)
         if rows:
             bits = [(n >> i) & 1 for i in range(steps - 1, -1, -1)]
-        else:  # the low `steps` bits of n from the top, as bytes 0 and 1
+        else:  # n's low `steps` bits from the top, as bytes 0 and 1: cheaper than a shift a step
             bits = bin(n & ((1 << steps) - 1) | 1 << steps)[3:].encode().translate(_BITS)
         w0, w1, w2, w3, w4, w5, w6, w7 = block
         for bit in bits:
@@ -327,14 +326,9 @@ def psi_windows(fld: PrimeField, a, b, x, y, n_max: int) -> np.ndarray:
     return out[: max(n_max + 1, 0)].T
 
 
-def psi_ladder(views: Sequence[PsiEvaluator], n_max: int) -> np.ndarray:
-    """[psi_1, .., psi_n_max] by the doubling ladder at every view of one
-    prime, row i for views[i]: one _walk over a lane per (view, n)."""
-    return _ladder_lanes(views, np.arange(1, max(n_max, 0) + 1))
-
-
-def _ladder_lanes(views: Sequence[PsiEvaluator], n: np.ndarray) -> np.ndarray:
-    """psi_{n[j]} at views[i] in row i, column j (n >= 0).  Every lane walks
+def psi_ladder(views: Sequence[PsiEvaluator], n: np.ndarray) -> np.ndarray:
+    """psi_{n[j]} at views[i] in row i, column j (n >= 0), by one _walk over
+    a lane per (view, index); the views must share p.  Every lane walks
     shift = bitlen(max n) - 3 steps from the seed block at n >> shift in
     [0, 8); psi_2^-1 is taken per row; the dtype is psi_window's."""
     if len({v.p for v in views}) > 1:

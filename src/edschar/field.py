@@ -426,7 +426,7 @@ def primes_in(lo: int, hi: int) -> list[int]:
         return []
     root = math.isqrt(hi)
     if root > SIEVE_BASE_MAX:
-        return [n for n in range(lo | 1, hi + 1, 2) if is_probable_prime(n)]
+        return [n for n in range(lo, hi + 1) if is_probable_prime(n)]
     base = primes_in(2, root)
     out: list[int] = []
     for start in range(lo, hi + 1, SIEVE_BLOCK):

@@ -367,7 +367,7 @@ def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) 
             tower = division_poly_batch(curves, n_max)
             sym_rows = psi_batch(curves, [v.point for v in views], tower)
             del tower  # the next batch's tower is built without this one alive
-            ladder = psi_ladder(views, n_max)
+            ladder = psi_ladder(views, np.arange(1, n_max + 1))
             for view, sym, dbl in zip(views, sym_rows, ladder):
                 stats["curves"] += 1
                 # rows: symbolic, doubling, window, stream; column n - 1 = psi_n
@@ -408,7 +408,7 @@ def sweep_oracle_random(n_curves: int = 50, seed: int = 0, n_max: int = 2000) ->
         stats["curves"] += 1
         curve, pt = view.curve, view.point
         w = psi_window(view, n_max)
-        bad = np.flatnonzero(psi_ladder([view], n_max)[0] != w[1:])
+        bad = np.flatnonzero(psi_ladder([view], np.arange(1, n_max + 1))[0] != w[1:])
         stats["values"] += n_max
         if len(bad):
             stats["failures"].append({**_where(curve), "n": int(bad[0]) + 1, "check": "window"})

@@ -16,7 +16,6 @@ from edschar.eds import (
     SCALAR_LEVELS,
     EdsView,
     PsiEvaluator,
-    _ladder_lanes,
     _psi3_f4,
     least_shift,
     psi_ladder,
@@ -329,18 +328,17 @@ def test_psi3_f4_arrays_match_ints(p):
 
 @pytest.mark.parametrize("p", [5, 13, 47])
 def test_psi_ladder_matches_psi_lane_for_lane(p):
-    # every curve and every point with y != 0 goes through the row ladder at
-    # n <= 64, in chunks of rows; the scalar psi checks every lane of every
-    # view at p <= 13, and of every 7th view at p = 47 (all 99 498 would
-    # take the scalar side about 30 s)
+    # every curve, and every point with y != 0 at p <= 13 but every 7th at
+    # p = 47 (each curve there keeps 4 to 9; all 99 498 points would take
+    # the scalar side about 30 s), in chunks of views mixing curves
     views = [PsiEvaluator(c, q) for c in all_curves(field(p)) for q in enumerate_points(c) if q is not None and q.y]
-    stride = 7 if p > 13 else 1
+    views = views[:: 7 if p > 13 else 1]
     for lo in range(0, len(views), 4096):
         chunk = views[lo : lo + 4096]
-        got = psi_ladder(chunk, 64)
+        got = psi_ladder(chunk, np.arange(1, 65))
         assert got.dtype == np.int64 and got.shape == (len(chunk), 64)
-        for i in range(-lo % stride, len(chunk), stride):
-            assert got[i].tolist() == [chunk[i].psi(n) for n in range(1, 65)], chunk[i].point
+        for row, view in zip(got.tolist(), chunk):
+            assert row == [view.psi(n) for n in range(1, 65)], (view.curve, view.point)
 
 
 @pytest.mark.parametrize(
@@ -355,24 +353,24 @@ def test_psi_ladder_matches_psi_at_large_primes(p, dtype):
     curves = [random_curve(field(p), rng) for _ in range(3)]
     views = [PsiEvaluator(c, c.random_point(rng, nonzero_y=True)) for c in curves]
     n_max = 2000 if p < 1 << 30 else 300
-    got = psi_ladder(views, n_max)
+    got = psi_ladder(views, np.arange(1, n_max + 1))
     assert got.dtype == dtype and got.shape == (3, n_max)
     for row, view in zip(got.tolist(), views):
         assert row == [view.psi(n) for n in range(1, n_max + 1)]
     # seeded lanes n < 2**40, each walking 37 steps from a block k in [0, 8)
     n = np.array([rng.randrange(0, 1 << 40) for _ in range(200)] + list(range(12)) + [(1 << 40) - 1])
-    got = _ladder_lanes(views, n)
+    got = psi_ladder(views, n)
     for row, view in zip(got.tolist(), views):
         assert row == [view.psi(k) for k in n.tolist()]
 
 
 def test_psi_ladder_edges():
     views = [seeded_view(1009, seed) for seed in range(2)]
-    assert psi_ladder(views, 0).shape == (2, 0)
-    assert psi_ladder([], 5).shape == (0, 5)
-    assert psi_ladder(views, 1).tolist() == [[1], [1]]
+    assert psi_ladder(views, np.arange(0)).shape == (2, 0)
+    assert psi_ladder([], np.arange(5)).shape == (0, 5)
+    assert psi_ladder(views, np.array([0, 1])).tolist() == [[0, 1], [0, 1]]
     with pytest.raises(ValueError, match="one prime"):
-        psi_ladder([*views, seeded_view(1013, 0)], 10)
+        psi_ladder([*views, seeded_view(1013, 0)], np.arange(10))
 
 
 def test_index_guard(f5_view):

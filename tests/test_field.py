@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -390,3 +391,12 @@ def test_primes_in_edges():
     assert primes_in(999_999_937, 999_999_937) == [999_999_937]
     assert primes_in(10, 5) == [] and primes_in(-5, 1) == []
     assert primes_in(0, 2) == [2] and primes_in(2, 3) == [2, 3]
+
+
+def test_primes_in_scan_matches_sieve(monkeypatch):
+    # with no base primes admitted, every range takes the Miller-Rabin scan,
+    # which must find what the sieve finds, 2 included
+    sieved = [primes_in(lo, hi) for lo, hi in ((0, 300), (2, 2), (97, 1009))]
+    monkeypatch.setattr(import_module("edschar.field"), "SIEVE_BASE_MAX", 0)
+    assert [primes_in(lo, hi) for lo, hi in ((0, 300), (2, 2), (97, 1009))] == sieved
+    assert sieved[0][:3] == [2, 3, 5] and sieved[1] == [2]

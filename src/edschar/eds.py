@@ -20,9 +20,10 @@ Three evaluation strategies are provided.  :class:`PsiEvaluator` walks an
 recurrences (one step per bit, constant memory, no memo and no recursion;
 usable for |n| < 2**512); :func:`psi_ladder` runs the same ladder step over
 rows of lanes, one lane per (view, index n), every lane walking the same
-number of steps (int64 when (p - 1)^2 < 2^63, object dtype above); :class:`EdsView` is a PsiEvaluator that also holds
-the point order r, the order-shift constants and the character windows built
-from it (so they are freed with it).  :func:`psi_window` takes any evaluator
+number of steps (int64 when (p - 1)^2 < 2^63, object dtype above);
+:class:`EdsView` is a PsiEvaluator that also holds the point order r, the
+order-shift constants and the character windows built from it (so they are
+freed with it).  :func:`psi_window` takes any evaluator
 and applies the same recurrences bottom-up to build psi_0 .. psi_N as a numpy
 array, one whole level of indices per step, dividing only by psi_2 (int64
 when (p - 1)^2 < 2^63, object dtype above); :func:`psi_windows` runs those
@@ -190,10 +191,9 @@ class PsiEvaluator:
             if rows or bit:
                 t8 = (p6 * s5 - p5 * s6) % p
             if rows:
-                w0, w1, w2, w3, w4, w5, w6, w7 = (
-                    np.where(bit, hi, lo)
-                    for lo, hi in zip((t0, t1, t2, t3, t4, t5, t6, t7), (t1, t2, t3, t4, t5, t6, t7, t8))
-                )
+                terms = (t0, t1, t2, t3, t4, t5, t6, t7, t8)
+                picked = (np.where(bit, hi, lo) for lo, hi in zip(terms, terms[1:]))
+                w0, w1, w2, w3, w4, w5, w6, w7 = picked
             elif bit:
                 w0, w1, w2, w3, w4, w5, w6, w7 = t1, t2, t3, t4, t5, t6, t7, t8
             else:
@@ -331,8 +331,8 @@ def psi_ladder(views: Sequence[PsiEvaluator], n: np.ndarray) -> np.ndarray:
     a lane per (view, index); the views must share p.  Every lane walks
     shift = bitlen(max n) - 3 steps from the seed block at n >> shift in
     [0, 8); psi_2^-1 is taken per row; the dtype is psi_window's."""
-    if len({v.p for v in views}) > 1:
-        raise ValueError("the doubling ladder on rows takes views of one prime")
+    if len({v.p for v in views}) > 1 or n.min(initial=0) < 0:
+        raise ValueError("the ladder on rows takes views of one prime and indices n >= 0")
     p = views[0].p if views else 2
     dtype = np.int64 if (p - 1) ** 2 < 1 << 63 else object
     shift = max(int(n.max(initial=0)).bit_length() - 3, 0)

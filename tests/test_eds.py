@@ -331,8 +331,8 @@ def test_psi_ladder_matches_psi_lane_for_lane(p):
     # every curve, and every point with y != 0 at p <= 13 but every 7th at
     # p = 47 (each curve there keeps 4 to 9; all 99 498 points would take
     # the scalar side about 30 s), in chunks of views mixing curves
-    views = [PsiEvaluator(c, q) for c in all_curves(field(p)) for q in enumerate_points(c) if q is not None and q.y]
-    views = views[:: 7 if p > 13 else 1]
+    points = [(c, q) for c in all_curves(field(p)) for q in enumerate_points(c) if q is not None and q.y]
+    views = [PsiEvaluator(c, q) for c, q in points[:: 7 if p > 13 else 1]]
     for lo in range(0, len(views), 4096):
         chunk = views[lo : lo + 4096]
         got = psi_ladder(chunk, np.arange(1, 65))
@@ -371,6 +371,8 @@ def test_psi_ladder_edges():
     assert psi_ladder(views, np.array([0, 1])).tolist() == [[0, 1], [0, 1]]
     with pytest.raises(ValueError, match="one prime"):
         psi_ladder([*views, seeded_view(1013, 0)], np.arange(10))
+    with pytest.raises(ValueError, match="n >= 0"):
+        psi_ladder(views, np.array([5, -1]))
 
 
 def test_index_guard(f5_view):

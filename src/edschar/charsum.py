@@ -68,7 +68,10 @@ class ComplexSum:
 def _kept_window(view: EdsView, key, n_terms: int, values) -> np.ndarray:
     """values(psi_1 .. psi_n_terms), kept in view.windows under key: a later
     call for at most as many terms returns a prefix of it.  Read-only, so
-    that writing into a returned slice raises instead of corrupting it."""
+    that writing into a returned slice raises instead of corrupting it.
+    n_terms < 0 raises, since the prefix would depend on what is kept."""
+    if n_terms < 0:
+        raise ValueError(f"n_terms must be >= 0, got {n_terms}")
     kept = view.windows.get(key)
     if kept is None or len(kept) < n_terms:
         kept = view.windows[key] = values(psi_window(view, n_terms)[1:])

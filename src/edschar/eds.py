@@ -23,16 +23,16 @@ rows of lanes, one lane per (view, index n), every lane walking the same
 number of steps (int64 when (p - 1)^2 < 2^63, object dtype above);
 :class:`EdsView` is a PsiEvaluator that also holds the point order r, the
 order-shift constants and the character windows built from it (so they are
-freed with it).  :func:`psi_window` takes any evaluator
-and applies the same recurrences bottom-up to build psi_0 .. psi_N as a numpy
-array, one whole level of indices per step, dividing only by psi_2 (int64
-when (p - 1)^2 < 2^63, object dtype above); :func:`psi_windows` runs those
-levels over one row per point.  The stream :func:`psi_sequence`
-advances one index at a time with the four-term recurrence
+freed with it).  :func:`psi_window` takes any evaluator and applies the same
+recurrences bottom-up to build psi_0 .. psi_N as a numpy array, one whole
+level of indices per step, dividing only by psi_2 (int64 when
+(p - 1)^2 < 2^63, object dtype above); :func:`psi_windows` runs those levels
+over one row per point.  The stream :func:`psi_sequence` also takes any
+evaluator and advances one index at a time with the four-term recurrence
 
     psi_{n+2} psi_{n-2} = psi_{n+1} psi_{n-1} psi_2^2 - psi_3 psi_n^2,
 
-patching indices where the divisor psi_{n-2} vanishes via the ladder.  The
+taking psi_{n+2} from the ladder where its divisor psi_{n-2} is 0.  The
 three must agree termwise; the test suite and the verification harness
 cross-check them against each other, against the x-only recursion
 :func:`x_only_psi` and against symbolic division-polynomial evaluation.
@@ -240,11 +240,12 @@ class EdsView(PsiEvaluator):
         ):
             raise AssertionError(f"shift-constant forms disagree at {point}")
 
+    # the repr from (p, a, b, x, y, r), also for sweep rows that fail these checks
+    LABEL = "EdsView(p={}, a={}, b={}, point=({},{}), r={})"
+
     def __repr__(self) -> str:
-        return (
-            f"EdsView(p={self.p}, a={self.curve.a}, b={self.curve.b}, "
-            f"point=({self.point.x},{self.point.y}), r={self.r})"
-        )
+        c, q = self.curve, self.point
+        return self.LABEL.format(self.p, c.a, c.b, q.x, q.y, self.r)
 
     @property
     def window_length(self) -> int:
@@ -342,17 +343,18 @@ def psi_ladder(views: Sequence[PsiEvaluator], n: np.ndarray) -> np.ndarray:
     return PsiEvaluator._walk(block, n, shift, p, inv2)[3]
 
 
-def psi_sequence(view: EdsView, n_max: int) -> Iterator[int]:
-    """Stream psi_1, ..., psi_n_max (four-term recurrence, patched at zeros)."""
-    p = view.p
-    r = view.r
-    w0, w1, w2, w3 = 1, view.psi2, view.psi3, view.psi4  # psi_1 .. psi_4
+def psi_sequence(ev: PsiEvaluator, n_max: int) -> Iterator[int]:
+    """Stream psi_1, ..., psi_n_max at any evaluator by the four-term
+    recurrence, taking psi_j from the ladder where the divisor psi_{j-4} is
+    0, so that no point order is needed."""
+    p = ev.p
+    w0, w1, w2, w3 = 1, ev.psi2, ev.psi3, ev.psi4  # psi_1 .. psi_4
     yield from (w0, w1, w2, w3)[: max(n_max, 0)]
-    c2 = view.psi2 * view.psi2 % p
-    c3 = view.psi3
+    c2 = ev.psi2 * ev.psi2 % p
+    c3 = ev.psi3
     for j in range(5, n_max + 1):
-        if (j - 4) % r == 0:
-            nxt = view.psi(j)
+        if w0 == 0:
+            nxt = ev.psi(j)
         else:
             nxt = (w3 * w1 % p * c2 - c3 * w2 % p * w2) * pow(w0, -1, p) % p
         yield nxt

@@ -17,7 +17,7 @@ import math
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from itertools import groupby
+from itertools import islice
 
 import numpy as np
 
@@ -175,14 +175,11 @@ def _check_rows(fld: PrimeField, r: int, rows: np.ndarray, ids: np.ndarray, stat
     w = psi_windows(fld, *rows[:, :4].T, n)[:, 1:]  # w[:, k-1] = psi_k
     live = np.ones(len(rows), dtype=bool)
 
-    def view(j: int) -> EdsView:
-        a, b, x, y, _ = rows[j].tolist()
-        return EdsView(EllipticCurve(fld, a, b), Point(x, y), r)
-
     def fail(mask, check: str, **cols) -> None:
         for j in np.flatnonzero(live & mask).tolist():
             extra = {key: int(col[j]) for key, col in cols.items()}
-            fails[int(ids[j])] = {"view": repr(view(j)), "check": check, **extra}
+            label = EdsView.LABEL.format(p, *rows[j].tolist())
+            fails[int(ids[j])] = {"view": label, "check": check, **extra}
         live[mask] = False
 
     # zeros exactly at the multiples of the point order
@@ -225,7 +222,8 @@ def _check_rows(fld: PrimeField, r: int, rows: np.ndarray, ids: np.ndarray, stat
     # the period's minimality on every 50th view
     for j in np.flatnonzero(live & (ids % 50 == 0)).tolist():
         stats["period_samples"] += 1
-        v = view(j)
+        a, b, x, y, _ = rows[j].tolist()
+        v = EdsView(EllipticCurve(fld, a, b), Point(x, y), r)
         s0 = sequence_period(v, spot_checks=20, seed=p).shift_steps
         deep = psi_window(v, s0 * r + 3)
         s = np.arange(1, s0)
@@ -332,28 +330,16 @@ def sweep_index_product(trials: int = 1000, seed: int = 0, edge_trials: int = 40
 ORACLE_ROWS = 76
 
 
-def _curve_batches(p: int):
-    """all_curves over F_p in (A, B) order, cut into batches of whole A values
-    of at most ORACLE_ROWS curves (one A value alone may have more)."""
-    batch: list[EllipticCurve] = []
-    for _, group in groupby(all_curves(field(p)), key=lambda c: c.a):
-        group = list(group)
-        if batch and len(batch) + len(group) > ORACLE_ROWS:
-            yield batch
-            batch = []
-        batch += group
-    if batch:
-        yield batch
-
-
 def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) -> dict:
     """Independent evaluation paths agree termwise on every curve over every
     prime in [p_min, p_max]: symbolic division polynomials (coefficient
     arithmetic, folded mod x^p - x, built for a batch of curves at once), the
-    doubling-path evaluator, the halving window, and the streaming generator."""
+    doubling-path evaluator, the halving window, and the streaming generator.
+    Each prime's curves are taken ORACLE_ROWS at a time in (A, B) order."""
     stats = {"curves": 0, "values": 0, "skipped_curves": 0, "failures": []}
     for p in primes_in(p_min, p_max):
-        for batch in _curve_batches(p):
+        walk = all_curves(field(p))
+        while batch := list(islice(walk, ORACLE_ROWS)):
             views = []
             for curve in batch:
                 pt = next((q for q in affine_points(curve) if q.y != 0), None)
@@ -365,33 +351,31 @@ def sweep_oracle_equivalence(p_min: int = 5, p_max: int = 100, n_max: int = 50) 
                 continue
             curves = [v.curve for v in views]
             tower = division_poly_batch(curves, n_max)
-            sym_rows = psi_batch(curves, [v.point for v in views], tower)
+            sym = psi_batch(curves, [v.point for v in views], tower)[:, 1:]
             del tower  # the next batch's tower is built without this one alive
-            ladder = psi_ladder(views, np.arange(1, n_max + 1))
-            for view, sym, dbl in zip(views, sym_rows, ladder):
-                stats["curves"] += 1
-                # rows: symbolic, doubling, window, stream; column n - 1 = psi_n
-                vals = np.array(
-                    [
-                        sym[1:],
-                        dbl,
-                        psi_window(view, n_max)[1:],
-                        list(psi_sequence(view, n_max)),
-                    ]
+            # axis 0: symbolic, doubling, window, stream; vals[:, i, n - 1] = psi_n at views[i]
+            vals = np.stack(
+                [
+                    sym,
+                    psi_ladder(views, np.arange(1, n_max + 1)),
+                    [psi_window(v, n_max)[1:] for v in views],
+                    [list(psi_sequence(v, n_max)) for v in views],
+                ]
+            )
+            for i, n in np.argwhere((vals != vals[0]).any(axis=0)).tolist():
+                sym_n, dbl, win, stream = vals[:, i, n].tolist()
+                stats["failures"].append(
+                    {
+                        **_where(views[i].curve),
+                        "n": n + 1,
+                        "symbolic": sym_n,
+                        "doubling": dbl,
+                        "window": win,
+                        "stream": stream,
+                    }
                 )
-                for i in np.flatnonzero((vals != vals[0]).any(axis=0)).tolist():
-                    sym_n, dbl, win, stream = vals[:, i].tolist()
-                    stats["failures"].append(
-                        {
-                            **_where(view.curve),
-                            "n": i + 1,
-                            "symbolic": sym_n,
-                            "doubling": dbl,
-                            "window": win,
-                            "stream": stream,
-                        }
-                    )
-                stats["values"] += n_max
+            stats["curves"] += len(views)
+            stats["values"] += n_max * len(views)
     return stats
 
 

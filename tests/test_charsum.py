@@ -103,6 +103,19 @@ def test_chi_window_guard(f5_view):
         chi_window(f5_view, WINDOW_MAX + 1)
 
 
+def test_kept_windows_refuse_negative_term_counts():
+    # a negative count once returned a prefix that depended on what was kept:
+    # no terms on a fresh view, R - 5 of them once the R-term window was kept
+    for window in (chi_window, lambda view, n: order_d_exponents(view, 4, n)):
+        view = seeded_view(1009, 3)  # R = 2064
+        for kept in (False, True):
+            if kept:
+                assert len(window(view, view.window_length)) == 2064
+            assert len(window(view, 0)) == 0
+            with pytest.raises(ValueError, match="n_terms must be >= 0, got -5"):
+                window(view, -5)
+
+
 def test_chi_sequence_shape(f5_view, f5_r7_view):
     for view in (f5_view, f5_r7_view):
         values = chi_window(view, view.window_length)

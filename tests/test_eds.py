@@ -264,6 +264,20 @@ def test_window_dtype_follows_the_int64_bound():
         assert w.tolist() == [view.psi(n) for n in range(n_max + 1)]
 
 
+def test_stream_on_bare_evaluators():
+    # the stream patches where its own divisor psi_{j-4} is 0, so it needs no
+    # point order: every point with y != 0 over F_13, and a 62-bit prime
+    cases = [
+        (PsiEvaluator(c, q), 64)
+        for c in all_curves(field(13))
+        for q in enumerate_points(c)
+        if q is not None and q.y
+    ]
+    cases.append((_bare_view(largest_prime_below(1 << 62), 5), 300))
+    for ev, n_max in cases:
+        assert list(psi_sequence(ev, n_max)) == psi_window(ev, n_max)[1:].tolist(), ev.point
+
+
 # lengths below 12, at the batch's level boundaries (one step runs levels m in
 # [lo, max(2 lo - 3, lo)] and level m ends at psi_{2m+1}) and around the end
 # of psi_window's scalar head
@@ -287,11 +301,15 @@ BATCH_LENGTHS = (
 
 @pytest.mark.parametrize("p", [5, 13, 47])
 def test_psi_windows_match_psi_window_row_for_row(p):
-    # every curve and every point with y != 0, at BATCH_LENGTHS and at
-    # 6r + 3 (the small-field sweep's length), in chunks of rows
+    # every curve, and every point with y != 0 at p <= 13 but every 7th at
+    # p = 47 (still all 2 162 curves and all 55 point orders there), at
+    # BATCH_LENGTHS and at 6r + 3 (the small-field sweep's length), in
+    # chunks of rows
     fld = field(p)
-    views = [(c, q) for c in all_curves(fld) for q in enumerate_points(c) if q is not None and q.y]
+    points = [(c, q) for c in all_curves(fld) for q in enumerate_points(c) if q is not None and q.y]
+    views = points[:: 7 if p > 13 else 1]
     top = max(*BATCH_LENGTHS, 6 * (p + 1 + 2 * int(p**0.5) + 1) + 3)
+    seen = set()
     for lo in range(0, len(views), 2048):
         chunk = views[lo : lo + 2048]
         rows = np.array([(c.a, c.b, q.x, q.y) for c, q in chunk]).T
@@ -305,6 +323,9 @@ def test_psi_windows_match_psi_window_row_for_row(p):
             same = orders == r
             got = psi_windows(fld, *rows[:, same], 6 * r + 3)
             assert np.array_equal(got, expected[same, : 6 * r + 4]), r
+        seen.update(orders.tolist())
+    if p == 47:
+        assert len(seen) == 55  # a coarser stride must not drop a point order
 
 
 @pytest.mark.parametrize("p", [5, 13, 47, 3_037_000_493])

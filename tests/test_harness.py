@@ -5,6 +5,7 @@ import json
 import time
 import tracemalloc
 from importlib import import_module
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -411,19 +412,6 @@ def test_oracle_sweep_failures_pinned(sweep, monkeypatch):
     assert _stats_hash(stats) == digest
 
 
-def test_oracle_batches_hold_whole_a_values():
-    for p in (5, 19, 37):
-        batches = list(harness._curve_batches(p))
-        flat = [c for batch in batches for c in batch]
-        assert [(c.a, c.b) for c in flat] == [(c.a, c.b) for c in all_curves(field(p))]
-        for batch, nxt in zip(batches, batches[1:]):
-            assert batch[-1].a != nxt[0].a  # an A value never straddles two batches
-        assert all(
-            len(batch) <= harness.ORACLE_ROWS or len({c.a for c in batch}) == 1
-            for batch in batches
-        )
-
-
 # -- the acceptance drivers at smoke scale ---------------------------------------------------
 
 
@@ -477,6 +465,20 @@ def test_sweep_small_fields_failures_pinned(monkeypatch, cleared_fields):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "92422ddf6fbc531ea05e7cd9a696a813dc20009779f28a928028c99806dcf3a9"
     )
+
+
+def test_sweep_small_fields_records_a_row_of_a_wrong_order(monkeypatch):
+    # the 5th view's r is doubled: its failure record is written from the row,
+    # since an EdsView would refuse that r and stop the sweep
+    order, calls = harness.point_order, count(1)
+    monkeypatch.setattr(
+        harness, "point_order", lambda curve, pt: order(curve, pt) * (2 if next(calls) == 5 else 1)
+    )
+    stats = harness.sweep_small_fields(5, 7)
+    assert stats["failures"] == [
+        {"view": "EdsView(p=5, a=0, b=2, point=(3,2), r=6)", "check": "zero-pattern"}
+    ]
+    assert stats["views"] == 342
 
 
 def test_sweep_small_fields_memory_capped(monkeypatch):

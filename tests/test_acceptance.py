@@ -7,6 +7,7 @@ minutes); the per-file unit tests cover the same code at smoke scale.
 """
 
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -28,6 +29,34 @@ def _report(capsys, num: int, name: str, ok: bool, detail: str) -> None:
     with capsys.disabled():
         print(f"\n[criterion {num}] {name}: {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
+
+
+@lru_cache(maxsize=None)
+def _point_counts(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, t) of every nonsingular y^2 = x^3 + Ax + B over F_p, in (A, B)
+    order, from character counts alone: N = p + 1 + sum_x chi(x^3 + Ax + B)
+    and t = #{x : x^3 + Ax + B = 0}, one array pass over (A, B, x)."""
+    chi = -np.ones(p, dtype=np.int64)
+    chi[0] = 0
+    chi[np.arange(1, p) ** 2 % p] = 1
+    a, b, x = np.ogrid[:p, :p, :p]
+    rhs = (x**3 + a * x + b) % p
+    ok = (4 * a**3 + 27 * b**2)[..., 0] % p != 0
+    return (p + 1 + chi[rhs].sum(axis=2))[ok], (rhs == 0).sum(axis=2)[ok]
+
+
+def _coverage(p_max: int) -> dict:
+    """Expected coverage over 5 <= p <= p_max: curves, points with y != 0
+    (views) and points with y = 0 or infinity (skipped), and the curves with
+    and without a point with y != 0."""
+    counts = [_point_counts(p) for p in primes_in(5, p_max)]
+    views = [n - 1 - t for n, t in counts]
+    return {
+        "curves": sum(len(v) for v in views),
+        "views": int(sum(v.sum() for v in views)),
+        "skipped_points": int(sum((1 + t).sum() for _, t in counts)),
+        "curves_with_views": int(sum((v > 0).sum() for v in views)),
+    }
 
 
 @pytest.fixture(scope="session")
@@ -60,8 +89,9 @@ def test_criterion_2_shift_identity_exhaustive(capsys, small_fields):
     shift_failures = [
         f for f in stats["failures"] if f.get("check") in ("zero-pattern", "shift")
     ]
+    want = _coverage(50)
     ok = (
-        stats["views"] > 0
+        all(stats[k] == want[k] for k in ("curves", "views", "skipped_points"))
         and stats["shift_checks"] > 0
         and not shift_failures
         and stats["failures"] == []
@@ -112,7 +142,14 @@ def test_criterion_4_chi_period_divides_2r(capsys, small_fields):
 def test_criterion_5_evaluation_paths_agree(capsys):
     eq = harness.sweep_oracle_equivalence(5, 100, 50)
     rnd = harness.sweep_oracle_random(50, seed=SEED, n_max=2000)
-    ok = eq["failures"] == [] and rnd["failures"] == []
+    want = _coverage(100)
+    ok = (
+        eq["curves"] == want["curves_with_views"]
+        and eq["values"] == 50 * eq["curves"]
+        and eq["skipped_curves"] == want["curves"] - want["curves_with_views"]
+        and eq["failures"] == []
+        and rnd["failures"] == []
+    )
     _report(
         capsys,
         5,
@@ -126,7 +163,13 @@ def test_criterion_5_evaluation_paths_agree(capsys):
 
 def test_criterion_6_point_sum_bound_exhaustive(capsys):
     stats = harness.sweep_weil(5, 100, index_max=4, avg_tol=AVERAGING_RTOL)
-    ok = stats["failures"] == [] and stats["bare_exceed"] == 0
+    curves = sum(p * p - p for p in primes_in(5, 100))  # 4A^3 + 27B^2 = 0 on p pairs
+    ok = (
+        stats["curves"] == curves
+        and stats["spectra"] == 3 * curves
+        and stats["failures"] == []
+        and stats["bare_exceed"] == 0
+    )
     _report(
         capsys,
         6,

@@ -28,14 +28,14 @@ from .curve import (
     affine_points,
     all_curves,
     check_structure_range,
-    enumerate_points,
+    group_grid,
     group_structure,
     is_nonsingular,
-    point_order,
 )
 from .eds import (
     EdsView,
     PsiEvaluator,
+    least_shift,
     psi_ladder,
     psi_sequence,
     psi_window,
@@ -55,6 +55,7 @@ THREADS_MAX = 64  # scan worker processes; each is forked at the pool's first su
 TRIALS_MAX = 100_000  # verify trials per check: about 20 s at p = 1009
 SPECTRUM_EMIT_MAX = 65_536  # sums --twist-a all: R pairs of floats in one JSON payload
 FORCED_ZEROS_MAX = 1 << 21  # verify's spectrum zeros: scan's R; at 8.4e6 it took 4 s, 1.4 GiB
+AVERAGING_RTOL = 1e-8  # the annihilator-averaging identity, sweep_weil's and verify's
 
 def random_curve(fld: PrimeField, rng: SplitMix64) -> EllipticCurve:
     p = fld.p
@@ -112,20 +113,19 @@ def largest_prime_below(n: int) -> int:
     return c
 
 
-def make_record(kind: str, view: EdsView | None, payload: dict, seed: int) -> dict:
-    rec = {
-        "kind": kind,
+def make_record(view: EdsView, payload: dict, seed: int) -> dict:
+    """A scan record: the view's curve, point, r and R around the payload."""
+    return {
+        "kind": "scan",
         "version": SCHEMA_VERSION,
         "seed": seed,
         "ts": time.time(),
         "payload": payload,
+        "curve": _where(view.curve),
+        "point": {"x": view.point.x, "y": view.point.y},
+        "r": view.r,
+        "R": view.window_length,
     }
-    if view is not None:
-        rec["curve"] = _where(view.curve)
-        rec["point"] = {"x": view.point.x, "y": view.point.y}
-        rec["r"] = view.r
-        rec["R"] = view.window_length
-    return rec
 
 
 def strip_ts(record: dict) -> dict:
@@ -161,7 +161,7 @@ def sweep_recurrence(n_tuples: int = 10_000, seed: int = 0) -> dict:
 
 
 SHIFT_BLOCKS = 5  # the shift identity at s <= 5 (README criterion 2)
-# sweep_small_fields holds at most about SMALL_FIELD_ROWS views (2.3 MiB) and
+# sweep_small_fields holds at most about SMALL_FIELD_ROWS views (0.6 MiB) and
 # checks them in blocks of at most SMALL_FIELD_CELLS window cells (1.5 MiB)
 SMALL_FIELD_ROWS = 1 << 14
 SMALL_FIELD_CELLS = 1 << 16
@@ -192,8 +192,7 @@ def _check_rows(fld: PrimeField, r: int, rows: np.ndarray, ids: np.ndarray, stat
     mult_a = b1 * psi2 % p * inv[b2] % p
     mult_b = -b1 * mult_a % p
     post_a, post_b = a2 * inv[a1 * psi2 % p] % p, a1 * a1 % p * psi2 % p * inv[a2] % p
-    if ((mult_a != post_a) | (mult_b != post_b))[live].any():
-        raise AssertionError(f"shift-constant forms disagree at p = {p}, r = {r}")
+    fail((mult_a != post_a) | (mult_b != post_b), "shift-constants")
 
     # shift blocks: psi_{sr+k} = a^(ks) b^(s^2) psi_k, via discrete logs, for
     # every s <= SHIFT_BLOCKS at once (axis 1 holds block s at s - 1)
@@ -219,24 +218,27 @@ def _check_rows(fld: PrimeField, r: int, rows: np.ndarray, ids: np.ndarray, stat
     stats["chi_period_r"] += int((live & (found == r)).sum())
     stats["chi_period_2r"] += int((live & (found == 2 * r)).sum())
 
-    # the period's minimality on every 50th view
+    # the period T = s0 r and its minimality on every 50th view, on a row out
+    # to 4T: psi_{n+T} = psi_n at n <= 3T covers sequence_period's spot checks
+    periodic, early_s = np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=np.int64)
     for j in np.flatnonzero(live & (ids % 50 == 0)).tolist():
         stats["period_samples"] += 1
-        a, b, x, y, _ = rows[j].tolist()
-        v = EdsView(EllipticCurve(fld, a, b), Point(x, y), r)
-        s0 = sequence_period(v, spot_checks=20, seed=p).shift_steps
-        deep = psi_window(v, s0 * r + 3)
+        s0 = least_shift(fld.element_order(int(mult_a[j])), fld.element_order(int(mult_b[j])))
+        deep = psi_windows(fld, *rows[j : j + 1, :4].T, 4 * s0 * r)[0]
+        periodic[j] = (deep[1 : 3 * s0 * r + 1] == deep[s0 * r + 1 :]).all()
         s = np.arange(1, s0)
         early = s[(deep[1 + s * r] == deep[1]) & (deep[2 + s * r] == deep[2])]
-        if len(early):
-            fails[int(ids[j])] = {"view": repr(v), "check": "period-minimality", "s": int(early[0])}
+        early_s[j] = early[0] if len(early) else 0
+    fail(~periodic, "period")
+    fail(early_s > 0, "period-minimality", s=early_s)
 
 
 def sweep_small_fields(p_min: int = 5, p_max: int = 50) -> dict:
     """Exhaustive shift-identity and character-period check: every nonsingular
-    curve over every prime in [p_min, p_max], every point with y != 0.  The
-    views of a prime are checked about SMALL_FIELD_ROWS at a time, in blocks
-    of one point order r; failure records come out in view order."""
+    curve over every prime in [p_min, p_max], every point with y != 0: the
+    cells of the curve's checked group grid, in (x, y) order.  A prime's views
+    are checked about SMALL_FIELD_ROWS at a time, in blocks of one point order
+    r; failure records come out in view order."""
     stats = {
         "curves": 0,
         "views": 0,
@@ -249,7 +251,7 @@ def sweep_small_fields(p_min: int = 5, p_max: int = 50) -> dict:
     }
 
     def check(fld: PrimeField, rows: list) -> None:
-        rows = np.array(rows, dtype=np.int64).reshape(-1, 5)
+        rows = np.concatenate(rows)
         ids = stats["views"] + np.arange(len(rows))
         stats["views"] += len(rows)
         fails: dict[int, dict] = {}
@@ -264,18 +266,25 @@ def sweep_small_fields(p_min: int = 5, p_max: int = 50) -> dict:
 
     for p in primes_in(p_min, p_max):
         fld = field(p)
-        rows: list[tuple[int, ...]] = []  # (a, b, x, y, r) in (curve, point) order
+        rows: list[np.ndarray] = []  # (a, b, x, y, r) in (curve, point) order
+        held = 0
         for curve in all_curves(fld):
             stats["curves"] += 1
-            for pt in enumerate_points(curve):
-                if pt is None or pt.y == 0:
-                    stats["skipped_points"] += 1
-                else:
-                    rows.append((curve.a, curve.b, pt.x, pt.y, point_order(curve, pt)))
-            if len(rows) >= SMALL_FIELD_ROWS:
+            s, xs, ys = group_grid(curve)
+            # cell (i, j) is i gen_m + j gen_l; infinity is stored as y = -1
+            i, j = np.indices((s.m, s.l))
+            orders = np.lcm(s.m // np.gcd(i, s.m), s.l // np.gcd(j, s.l))
+            cells = ys > 0
+            at = np.lexsort((ys[cells], xs[cells]))
+            stats["skipped_points"] += s.size - len(at)
+            view = [np.full(len(at), curve.a), np.full(len(at), curve.b)]
+            rows.append(np.stack(view + [c[cells][at] for c in (xs, ys, orders)], axis=1))
+            held += len(at)
+            if held >= SMALL_FIELD_ROWS:
                 check(fld, rows)
-                rows = []
-        check(fld, rows)
+                rows, held = [], 0
+        if rows:
+            check(fld, rows)
     return stats
 
 
@@ -409,29 +418,20 @@ def sweep_oracle_random(n_curves: int = 50, seed: int = 0, n_max: int = 2000) ->
 # -- sweep: point-sum bounds over the group -------------------------------------
 
 
-def sweep_weil(
-    p_min: int = 5,
-    p_max: int = 100,
-    index_max: int = 4,
-    avg_tol: float = 1e-8,
-) -> dict:
+def sweep_weil(p_min: int = 5, p_max: int = 100) -> dict:
     """Brute-force |sum_P omega(P) chi(f(P))| <= 2 d sqrt(p) for
     f in {psi_3, psi_5, psi_3 psi_5}, every group character omega, every curve
-    with p in [p_min, p_max]; plus every subgroup of index <= index_max via
-    masked sums, checked against the same bound and against the
-    annihilator-averaging identity to avg_tol relative tolerance.  index_max
-    is guarded at 1..4, the subgroup orders small_character_subgroups lists.
+    with p in [p_min, p_max]; plus every subgroup of index <= 4 (the subgroup
+    orders small_character_subgroups lists) via masked sums, checked against
+    the same bound and against the annihilator-averaging identity to
+    AVERAGING_RTOL relative tolerance.
 
     The bound comparison allows only the FFT rounding envelope; bare_exceed
     counts sums whose modulus tops the bound even before that allowance.
     max_ratio records the worst modulus/bound ratio seen.
     """
-    if not 1 <= index_max <= charsum.SUBGROUP_ORDER_MAX:
-        raise ValueError(
-            f"subgroup index guarded at 1..{charsum.SUBGROUP_ORDER_MAX}, got {index_max}"
-        )
     # (M, L) -> the annihilator groups of the nontrivial subgroups of index
-    # <= index_max, and a (1 + k, M, L) stack of masks: all true (the full
+    # <= 4, and a (1 + k, M, L) stack of masks: all true (the full
     # group), then one subgroup mask per group
     shapes: dict[tuple[int, int], tuple[list, np.ndarray]] = {}
     stats = {
@@ -457,11 +457,7 @@ def sweep_weil(
             s = group_structure(curve)
             fft_err = charsum.spectrum_err_bound(s.size)
             if (s.m, s.l) not in shapes:
-                groups = [
-                    g
-                    for g in charsum.small_character_subgroups(s.m, s.l, index_max)
-                    if len(g) > 1
-                ]
+                groups = [g for g in charsum.small_character_subgroups(s.m, s.l) if len(g) > 1]
                 masks = [charsum.subgroup_mask(s.m, s.l, g) for g in groups]
                 shapes[s.m, s.l] = groups, np.stack([np.ones((s.m, s.l), bool), *masks])
             groups, masks = shapes[s.m, s.l]
@@ -498,7 +494,7 @@ def sweep_weil(
                     scale = max(1.0, sub_top)
                     stats["max_avg_gap"] = max(stats["max_avg_gap"], gap / scale)
                     stats["subgroup_checks"] += 1
-                    if gap > avg_tol * scale:
+                    if gap > AVERAGING_RTOL * scale:
                         stats["failures"].append(
                             {**failure, "check": "averaging", "gap": gap}
                         )
@@ -553,7 +549,7 @@ def scan_prime(p: int, seed: int = 0) -> dict:
         },
         "trivial_regime": r * r < p,
     }
-    return make_record("scan", view, payload, seed)
+    return make_record(view, payload, seed)
 
 
 def _scan_worker(args: tuple[int, int]) -> dict:
@@ -691,6 +687,9 @@ def cmd_verify(
             return
         try:
             failed = fn()
+        except AssertionError as exc:  # an identity check that failed, not bad input
+            checks.append({"identity": name, "status": "fail", "reason": str(exc)})
+            return
         except ValueError as exc:
             if "guard" not in str(exc):
                 raise
@@ -751,7 +750,7 @@ def cmd_verify(
         )
         failed += rep_sub.sum_modulus > rep_sub.bound + rep_sub.err_bound
         if rep_sub.averaging_gap is not None:
-            failed += rep_sub.averaging_gap > 1e-8 * max(1.0, rep_sub.sum_modulus)
+            failed += rep_sub.averaging_gap > AVERAGING_RTOL * max(1.0, rep_sub.sum_modulus)
         return int(failed)
 
     run("recurrence", chk_recurrence)

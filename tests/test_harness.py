@@ -5,7 +5,6 @@ import json
 import time
 import tracemalloc
 from importlib import import_module
-from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 
 from edschar import charsum, cli, harness
 from edschar import curve as curve_module
-from edschar.curve import EllipticCurve, Point, affine_points, all_curves, point_order
+from edschar.curve import EllipticCurve, Point, all_curves
 from edschar.eds import EdsView
 from edschar.field import PrimeField, field, is_probable_prime
 from edschar.harness import (
@@ -121,7 +120,7 @@ def test_largest_prime_below():
 
 
 def test_make_record_schema(f5_view):
-    rec = make_record("scan", f5_view, {"x": 1}, seed=9)
+    rec = make_record(f5_view, {"x": 1}, seed=9)
     assert set(rec) == {
         "kind",
         "version",
@@ -133,18 +132,13 @@ def test_make_record_schema(f5_view):
         "r",
         "R",
     }
-    assert rec["version"] == "1"
+    assert (rec["kind"], rec["version"]) == ("scan", "1")
     assert rec["curve"] == {"p": 5, "a": 1, "b": 1}
     assert rec["point"] == {"x": 0, "y": 1}
     assert (rec["r"], rec["R"]) == (9, 18)
     stripped = strip_ts(rec)
     assert "ts" not in stripped and set(stripped) == set(rec) - {"ts"}
     assert json.loads(json.dumps(rec, sort_keys=True)) == rec
-
-
-def test_make_record_without_view():
-    rec = make_record("bench", None, {"ok": True}, seed=0)
-    assert set(rec) == {"kind", "version", "seed", "ts", "payload"}
 
 
 # -- scans ------------------------------------------------------------------------------
@@ -313,13 +307,6 @@ def test_sweep_weil_lists_subgroups_once_per_shape(monkeypatch):
     assert set(calls) == shapes
 
 
-def test_sweep_weil_index_guard():
-    # a subgroup of index 5 has an annihilator of order 5, past the list
-    for bad in (0, 5):
-        with pytest.raises(ValueError, match="guard"):
-            harness.sweep_weil(5, 7, index_max=bad)
-
-
 def _stats_hash(stats: dict) -> str:
     return hashlib.sha256(json.dumps(stats, sort_keys=True).encode()).hexdigest()
 
@@ -468,32 +455,44 @@ def test_sweep_small_fields_failures_pinned(monkeypatch, cleared_fields):
 
 
 def test_sweep_small_fields_records_a_row_of_a_wrong_order(monkeypatch):
-    # the 5th view's r is doubled: its failure record is written from the row,
-    # since an EdsView would refuse that r and stop the sweep
-    order, calls = harness.point_order, count(1)
-    monkeypatch.setattr(
-        harness, "point_order", lambda curve, pt: order(curve, pt) * (2 if next(calls) == 5 else 1)
-    )
+    # cells 1 and 2 of the grid of y^2 = x^3 + 2 over F_5 (Z/6) are swapped,
+    # so two views take each other's order: their failure records are
+    # written from the rows, since an EdsView would refuse those r
+    grid = harness.group_grid
+
+    def swapped(curve):
+        s, xs, ys = grid(curve)
+        if (curve.p, curve.a, curve.b) == (5, 0, 2):
+            xs, ys = xs[[0, 2, 1, 3, 4, 5]], ys[[0, 2, 1, 3, 4, 5]]
+        return s, xs, ys
+
+    monkeypatch.setattr(harness, "group_grid", swapped)
     stats = harness.sweep_small_fields(5, 7)
     assert stats["failures"] == [
-        {"view": "EdsView(p=5, a=0, b=2, point=(3,2), r=6)", "check": "zero-pattern"}
+        {"view": "EdsView(p=5, a=0, b=2, point=(3,3), r=6)", "check": "zero-pattern"},
+        {"view": "EdsView(p=5, a=0, b=2, point=(4,1), r=3)", "check": "zero-pattern"},
     ]
     assert stats["views"] == 342
 
 
-def test_sweep_small_fields_memory_capped(monkeypatch):
-    # the held views and the window blocks are capped: about 150 B per held
-    # view and 25 B per window cell were measured; with neither cap, p = 47
-    # peaked at 50 MiB.  tracemalloc slows curve and ladder arithmetic about
-    # tenfold, so the point orders come from a table built before tracing and
-    # the period samples skip their spot checks (neither holds an array)
-    fld = field(47)
-    orders = {
-        (c.a, c.b, q): point_order(c, q) for c in all_curves(fld) for q in affine_points(c) if q.y
+def test_sweep_small_fields_records_a_wrong_period(monkeypatch):
+    # s0 + 1 in place of s0: every period sample fails, as a record
+    shift = harness.least_shift
+    monkeypatch.setattr(harness, "least_shift", lambda a, b: shift(a, b) + 1)
+    stats = harness.sweep_small_fields(5, 13)
+    assert stats["period_samples"] == len(stats["failures"]) == 67
+    assert {f["check"] for f in stats["failures"]} == {"period", "period-minimality"}
+    assert stats["failures"][0] == {
+        "view": "EdsView(p=5, a=0, b=1, point=(0,1), r=3)",
+        "check": "period",
     }
-    period = harness.sequence_period
-    monkeypatch.setattr(harness, "point_order", lambda curve, pt: orders[curve.a, curve.b, pt])
-    monkeypatch.setattr(harness, "sequence_period", lambda view, spot_checks, seed: period(view, 0, seed))
+
+
+def test_sweep_small_fields_memory_capped():
+    # the held views and the window blocks are capped: 40 B per held view
+    # (twice while they are joined) and about 25 B per window cell; with
+    # neither cap, p = 47 peaked at 50 MiB
+    fld = field(47)
     fld.chi_table(), fld.inverse_table(), fld.dlog_tables()  # the field's, not the sweep's
     tracemalloc.start()
     try:
@@ -801,6 +800,30 @@ def test_cmd_verify_weil_ell_guard_builds_no_tower(monkeypatch):
     weil = next(c for c in out["checks"] if c["identity"] == "weil")
     assert weil["status"] == "skipped" and "guard" in weil["reason"]
     assert [c["status"] for c in out["checks"] if c["identity"] != "weil"] == ["ok"] * 4
+
+
+def test_cmd_verify_records_a_failed_identity(monkeypatch, capsys):
+    # s0 + 1 in place of s0: the period spot check raises inside its check,
+    # which is recorded as failed; the other checks still run, and exit 2
+    eds_module = import_module("edschar.eds")
+    shift = eds_module.least_shift
+    monkeypatch.setattr(eds_module, "least_shift", lambda a, b: shift(a, b) + 1)
+    argv = ["verify", "--p", "1009", "--a", "11", "--b", "17", "--px", "1", "--py", "188"]
+    assert _run(argv + ["--identity", "all"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False
+    assert {c["identity"]: c["status"] for c in out["checks"]} == {
+        "recurrence": "ok",
+        "shift": "ok",
+        "index-product": "ok",
+        "period": "fail",
+        "weil": "ok",
+    }
+    period = next(c for c in out["checks"] if c["identity"] == "period")
+    assert period["reason"] == (
+        "period spot check failed at n=9395 on "
+        "EdsView(p=1009, a=11, b=17, point=(1,188), r=111)"
+    )
 
 
 def test_cmd_verify_needs_a_trial(capsys):

@@ -277,8 +277,8 @@ def sweep_small_fields(p_min: int = 5, p_max: int = 50) -> dict:
             cells = ys > 0
             at = np.lexsort((ys[cells], xs[cells]))
             stats["skipped_points"] += s.size - len(at)
-            view = [np.full(len(at), curve.a), np.full(len(at), curve.b)]
-            rows.append(np.stack(view + [c[cells][at] for c in (xs, ys, orders)], axis=1))
+            ab = [np.full(len(at), curve.a), np.full(len(at), curve.b)]
+            rows.append(np.stack(ab + [c[cells][at] for c in (xs, ys, orders)], axis=1))
             held += len(at)
             if held >= SMALL_FIELD_ROWS:
                 check(fld, rows)

@@ -43,6 +43,17 @@ def test_sweep_oracle_random_matches_reference(ref, seed):
     assert harness.sweep_oracle_random(4, seed, 2000) == ref.sweep_oracle_random(4, seed, 2000)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_recurrence_matches_reference(ref, seed):
+    assert harness.sweep_recurrence(300, seed) == ref.sweep_recurrence(300, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_index_product_matches_reference(ref, seed):
+    got = harness.sweep_index_product(300, seed, edge_trials=40)
+    assert got == ref.sweep_index_product(300, seed, edge_trials=40)
+
+
 def test_sweep_oracle_equivalence_matches_reference(ref):
     assert harness.sweep_oracle_equivalence(5, 19) == ref.sweep_oracle_equivalence(5, 19)
 

@@ -20,7 +20,10 @@ Three evaluation strategies are provided.  :class:`PsiEvaluator` walks an
 recurrences (one step per bit, constant memory, no memo and no recursion;
 usable for |n| < 2**512); :func:`psi_ladder` runs the same ladder step over
 rows of lanes, one lane per (view, index n), every lane walking the same
-number of steps (int64 when (p - 1)^2 < 2^63, object dtype above);
+number of steps, with views over one prime or many (int64 when
+(max p - 1)^2 < 2^63, object dtype above), and :func:`recurrence_residuals`
+and :func:`verify_index_products` check the two defining identities on its
+rows;
 :class:`EdsView` is a PsiEvaluator that also holds the point order r, the
 order-shift constants and the character windows built from it (so they are
 freed with it).  :func:`psi_window` takes any evaluator and applies the same
@@ -78,13 +81,14 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")  # bin() digits to bit values
 
 
 class _RowInverse:
-    """psi_2^-1 per row for _walk on lanes: `e * inv` reduces e mod p first,
-    so that int64 products stay below (p - 1)**2 < 2**63.  (On ints that
-    reduction would cost the scalar ladder about 5 %.)"""
+    """psi_2^-1 per row for _walk on lanes: `e * inv` reduces e mod p (a
+    column, one prime per row) first, so that int64 products stay below
+    (p - 1)**2 < 2**63.  (On ints that reduction would cost the scalar ladder
+    about 5 %.)"""
 
     __array_ufunc__ = None  # numpy defers `array * inv` to __rmul__
 
-    def __init__(self, inv: np.ndarray, p: int):
+    def __init__(self, inv: np.ndarray, p: np.ndarray):
         self.inv, self.p = inv, p
 
     def __rmul__(self, e: np.ndarray) -> np.ndarray:
@@ -101,7 +105,7 @@ class PsiEvaluator:
     step per bit of n, constant memory, no recursion.  The walk starts at the
     seed block at k = n >> shift in [0, 8), shift = bitlen(n) - 3.  The same
     step (_walk) runs on rows of lanes for psi_ladder: there every lane walks
-    shift = bitlen(max n) - 3 steps, so small n start at k = 0, from which
+    shift = bitlen(max |n|) - 3 steps, so small n start at k = 0, from which
     the ladder is valid too (the seed itself is walked 0 -> 1 -> 3 -> 7).
 
     Safe for concurrent readers: everything the evaluator keeps (psi_2,
@@ -152,8 +156,9 @@ class PsiEvaluator:
     @staticmethod
     def _walk(block, n, steps: int, p: int, inv2):
         """The block at n, from `block` at n >> steps, one step per low bit:
-        on ints, or on rows of lanes (n an int64 array of lane indices; the
-        eight block entries and inv2 arrays that broadcast with it).
+        on ints, or on rows of lanes (n an array of lane indices >= 0; the
+        eight block entries, p and inv2 arrays that broadcast with it, p and
+        inv2 one entry per row).
 
         For the block w at k (w_j = psi_{k-3+j}) let S_j = w_j^2 and
         P_j = w_{j-1} w_{j+1}.  At m = k-3+j the halving formulas read
@@ -327,20 +332,33 @@ def psi_windows(fld: PrimeField, a, b, x, y, n_max: int) -> np.ndarray:
     return out[: max(n_max + 1, 0)].T
 
 
+def _lane_primes(views: Sequence[PsiEvaluator]) -> np.ndarray:
+    """p per view as a column: int64 when (max p - 1)**2 < 2**63, so that no
+    product of two residues overflows, and object (Python ints) above."""
+    p_max = max((v.p for v in views), default=2)
+    dtype = np.int64 if (p_max - 1) ** 2 < 1 << 63 else object
+    return np.array([v.p for v in views], dtype=dtype).reshape(len(views), 1)
+
+
 def psi_ladder(views: Sequence[PsiEvaluator], n: np.ndarray) -> np.ndarray:
-    """psi_{n[j]} at views[i] in row i, column j (n >= 0), by one _walk over
-    a lane per (view, index); the views must share p.  Every lane walks
-    shift = bitlen(max n) - 3 steps from the seed block at n >> shift in
-    [0, 8); psi_2^-1 is taken per row; the dtype is psi_window's."""
-    if len({v.p for v in views}) > 1 or n.min(initial=0) < 0:
-        raise ValueError("the ladder on rows takes views of one prime and indices n >= 0")
-    p = views[0].p if views else 2
-    dtype = np.int64 if (p - 1) ** 2 < 1 << 63 else object
-    shift = max(int(n.max(initial=0)).bit_length() - 3, 0)
-    seeds = np.array([v._seed for v in views], dtype=dtype).reshape(len(views), 15)
-    inv2 = _RowInverse(np.array([[v._inv_psi2] for v in views], dtype=dtype), p)
-    block = [seeds[:, (n >> shift) + j] for j in range(8)]
-    return PsiEvaluator._walk(block, n, shift, p, inv2)[3]
+    """psi_n at views[i] in row i by one _walk over a lane per (view, index):
+    n is one 1-D array of indices shared by every row, or a 2-D array with a
+    row of indices per view; any sign, psi_{-n} = -psi_n.  The views may be
+    over different primes: p is a column, and the rows are int64 when
+    (max p - 1)**2 < 2**63 and object above.  Every lane walks
+    shift = bitlen(max |n|) - 3 steps from the seed block at |n| >> shift in
+    [0, 8); psi_2^-1 is taken per row."""
+    p = _lane_primes(views)
+    k = np.abs(n)
+    if k.min(initial=0) < 0:  # abs(-2**63) wraps
+        raise ValueError("lane indices guarded at |n| < 2**63")
+    shift = max(int(k.max(initial=0)).bit_length() - 3, 0)
+    seeds = np.array([v._seed for v in views], dtype=p.dtype).reshape(len(views), 15)
+    inv2 = _RowInverse(np.array([[v._inv_psi2] for v in views], dtype=p.dtype), p)
+    rows, at = np.arange(len(views))[:, None], (k >> shift).astype(np.intp)
+    block = [seeds[rows, at + j] for j in range(8)]
+    psi = PsiEvaluator._walk(block, k, shift, p, inv2)[3]
+    return np.where(n < 0, -psi % p, psi)
 
 
 def psi_sequence(ev: PsiEvaluator, n_max: int) -> Iterator[int]:
@@ -361,19 +379,30 @@ def psi_sequence(ev: PsiEvaluator, n_max: int) -> Iterator[int]:
         w0, w1, w2, w3 = w1, w2, w3, nxt
 
 
-def recurrence_residual(ev: PsiEvaluator, h: int, i: int, j: int) -> int:
-    """Residual of the four-term bilinear identity at indices (h, i, j).
+def recurrence_residuals(views: Sequence[PsiEvaluator], h, i, j) -> np.ndarray:
+    """Residuals of the four-term bilinear identity at index triples: h, i
+    and j are int64 arrays of shape (len(views), k), row v holding k triples
+    at views[v], and every psi value they need is a lane of one psi_ladder
+    call: the columns of h, i, j, h + i, h - i, i + j, i - j, j + h, j - h.
 
     psi_{h+i} psi_{h-i} psi_j^2 + psi_{i+j} psi_{i-j} psi_h^2
         + psi_{j+h} psi_{j-h} psi_i^2  (mod p); zero for every integer triple.
     """
-    p = ev.p
-    psi = ev.psi
-    wh, wi, wj = psi(h), psi(i), psi(j)
-    t1 = psi(h + i) * psi(h - i) % p * (wj * wj % p)
-    t2 = psi(i + j) * psi(i - j) % p * (wh * wh % p)
-    t3 = psi(j + h) * psi(j - h) % p * (wi * wi % p)
+    if max(int(np.abs(k).max(initial=0)) for k in (h, i, j)) >= 1 << 61:
+        raise ValueError("recurrence indices guarded at |n| < 2**61")  # h + i etc. are int64
+    p = _lane_primes(views)
+    lanes = (h, i, j, h + i, h - i, i + j, i - j, j + h, j - h)
+    psi = np.split(psi_ladder(views, np.concatenate(lanes, axis=1)), 9, axis=1)
+    wh, wi, wj, hi_p, hi_m, ij_p, ij_m, jh_p, jh_m = psi
+    t1 = hi_p * hi_m % p * (wj * wj % p) % p
+    t2 = ij_p * ij_m % p * (wh * wh % p) % p
+    t3 = jh_p * jh_m % p * (wi * wi % p) % p
     return (t1 + t2 + t3) % p
+
+
+def recurrence_residual(ev: PsiEvaluator, h: int, i: int, j: int) -> int:
+    """recurrence_residuals at one triple."""
+    return int(recurrence_residuals([ev], *(np.array([[k]]) for k in (h, i, j)))[0, 0])
 
 
 def verify_shift_identity(view: EdsView, s: int, k: int) -> bool:
@@ -428,28 +457,49 @@ def x_only_psi(curve: EllipticCurve, x0: int, n: int) -> int:
     return sign * f[n] % p
 
 
-def verify_index_product(view: EdsView, n: int, m: int) -> bool:
-    """Check psi_{nm}(P) = psi_n([m]P) * psi_m(P)^(n^2) for n, m >= 1.
+def verify_index_products(views: Sequence[EdsView], n, m) -> tuple[np.ndarray, list]:
+    """Check psi_{nm}(P) = psi_n([m]P) * psi_m(P)^(n^2) at views[k] for each
+    trial (n[k], m[k]), n, m >= 1: whether it holds, per trial, and the
+    points [m]P (None for O), each computed once per distinct (view, m).
 
     When [m]P = O both sides vanish and the check reduces to psi_{nm}(P) = 0.
     When [m]P is 2-torsion the middle factor is evaluated through the x-only
-    form (zero for even n).
+    form (zero for even n).  Otherwise it is a lane of the one psi_ladder
+    call that also gives every psi_{nm}(P) and psi_m(P): rows k < len(views)
+    are [nm, m] at views[k], then one row [n, 0] per general [m]P.
     """
-    if n < 1 or m < 1:
+    if min(n, default=1) < 1 or min(m, default=1) < 1:
         raise ValueError("requires n >= 1 and m >= 1")
-    curve = view.curve
-    p = curve.p
-    lhs = view.psi(n * m)
-    if m % view.r == 0:
-        return lhs == 0
-    q = curve.mul(m, view.point)
-    if q.y == 0:
-        if n % 2 == 0:
-            return lhs == 0
-        psi_n_q = x_only_psi(curve, q.x, n)
-    else:
-        psi_n_q = PsiEvaluator(curve, q).psi(n)
-    return lhs == psi_n_q * pow(view.psi(m), n * n, p) % p
+    if max(n, default=1) >= 1 << 31 or max((nk * mk for nk, mk in zip(n, m)), default=1) >= 1 << 62:
+        raise ValueError("index-product indices guarded at n < 2**31 and nm < 2**62")  # int64 lanes
+    at: dict = {}  # (view, m) -> [m]P and the evaluator at a general [m]P
+    for v, mk in zip(views, m):
+        if (v, mk) not in at:
+            q = None if mk % v.r == 0 else v.curve.mul(mk, v.point)
+            at[v, mk] = q, PsiEvaluator(v.curve, q) if q is not None and q.y else None
+    mults, evs = zip(*(at[v, mk] for v, mk in zip(views, m))) if views else ((), ())
+    general = [k for k, ev in enumerate(evs) if ev is not None]
+    lanes = [[nk * mk, mk] for nk, mk in zip(n, m)] + [[n[k], 0] for k in general]
+    rows = [*views, *(evs[k] for k in general)]
+    psi = psi_ladder(rows, np.array(lanes, dtype=np.int64).reshape(-1, 2))
+    p = _lane_primes(views)[:, 0]
+    lhs, psi_m = psi[: len(views)].T
+    psi_n_q = np.zeros_like(lhs)  # at O and at 2-torsion with even n
+    psi_n_q[general] = psi[len(views) :, 0]
+    for k, q in enumerate(mults):
+        if q is not None and q.y == 0 and n[k] % 2:
+            psi_n_q[k] = x_only_psi(views[k].curve, q.x, n[k])
+    e = np.array(n, dtype=np.int64) ** 2
+    power = np.ones_like(lhs)  # psi_m^(n^2) by the bits of n^2, from the top
+    for bit in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
+        power = power * power % p
+        power = np.where(e >> bit & 1, power * psi_m % p, power)
+    return lhs == psi_n_q * power % p, list(mults)
+
+
+def verify_index_product(view: EdsView, n: int, m: int) -> bool:
+    """verify_index_products at one trial."""
+    return bool(verify_index_products([view], [n], [m])[0][0])
 
 
 @dataclass(frozen=True)

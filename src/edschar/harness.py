@@ -4,7 +4,12 @@ Every randomized driver takes an integer seed and derives per-prime streams
 with a fixed splitmix64 generator, so runs are reproducible across platforms,
 Python versions, and worker counts.  The three randomized sweeps draw each
 view with _draw_view: a prime, a curve and a point with y != 0, all three
-drawn again when the curve has no such point.  Scan output is a list of
+drawn again when the curve has no such point.  sweep_recurrence and
+sweep_index_product (and verify's recurrence and index-product checks) draw a
+block of views and indices first, then take every psi value of the block from
+one psi_ladder call over views of many primes, at most LADDER_LANES lanes,
+and compare over arrays; evaluation draws nothing, so the draws are those of
+one trial at a time.  Scan output is a list of
 JSON-ready records with a fixed schema (see make_record), one per prime in
 ascending order whatever the worker count, so multi-process runs are
 byte-identical to single-process runs apart from the "ts" wall-clock field.
@@ -41,8 +46,9 @@ from .eds import (
     psi_window,
     psi_windows,
     recurrence_residual,
+    recurrence_residuals,
     sequence_period,
-    verify_index_product,
+    verify_index_products,
     verify_shift_identity,
     x_only_psi,
 )
@@ -52,10 +58,14 @@ from .symbolic import division_poly_batch, psi_batch
 
 SCHEMA_VERSION = "1"
 THREADS_MAX = 64  # scan worker processes; each is forked at the pool's first submit
-TRIALS_MAX = 100_000  # verify trials per check: about 20 s at p = 1009
+TRIALS_MAX = 100_000  # verify trials per check: about 7 s for all five at p = 1009
 SPECTRUM_EMIT_MAX = 65_536  # sums --twist-a all: R pairs of floats in one JSON payload
 FORCED_ZEROS_MAX = 1 << 21  # verify's spectrum zeros: scan's R; at 8.4e6 it took 4 s, 1.4 GiB
 AVERAGING_RTOL = 1e-8  # the annihilator-averaging identity, sweep_weil's and verify's
+# psi values per ladder call in the randomized drivers and verify's recurrence
+# and index-product checks: about 2.5 MiB traced at verify's 10^5 trials, and
+# 2^13 to 2^15 lanes were no faster
+LADDER_LANES = 1 << 12
 
 def random_curve(fld: PrimeField, rng: SplitMix64) -> EllipticCurve:
     p = fld.p
@@ -136,24 +146,49 @@ def strip_ts(record: dict) -> dict:
 # -- sweep: three-term recurrence ----------------------------------------------
 
 
+def _recurrence_failures(rows: list) -> list[tuple]:
+    """(view, [h, i, j], residual) at each nonzero residual of rows of
+    (view, triples), in row order, from one recurrence_residuals call; short
+    rows are padded with (0, 0, 0), whose residual is 0."""
+    width = max(len(triples) for _, triples in rows)
+    hij = np.zeros((3, len(rows), width), dtype=np.int64)
+    for k, (_, triples) in enumerate(rows):
+        hij[:, k, : len(triples)] = np.array(triples, dtype=np.int64).T
+    res = recurrence_residuals([view for view, _ in rows], *hij)
+    return [
+        (rows[k][0], hij[:, k, c].tolist(), int(res[k, c]))
+        for k, c in np.argwhere(res != 0).tolist()
+    ]
+
+
 def sweep_recurrence(n_tuples: int = 10_000, seed: int = 0) -> dict:
     """Evaluate the defining three-term quadratic recurrence residual at random
     index triples (h, i, j) drawn from [-10^6, 10^6], spanning negative
     indices and index collisions, across 500 random views with
-    5 <= p <= 10^4."""
+    5 <= p <= 10^4.  A view's triples make ladder rows of at most
+    LADDER_LANES // 9 triples, and rows are checked LADDER_LANES lanes at a
+    time."""
+    if n_tuples < 0:
+        raise ValueError(f"n_tuples must be >= 0, got {n_tuples}")
     primes = primes_in(5, 10_000)
     rng = SplitMix64(seed)
     per_view = max(1, -(-n_tuples // 500))
+    width = min(per_view, LADDER_LANES // 9)  # triples per row
     stats = {"tuples": 0, "views": 0, "failures": []}
-    while stats["tuples"] < n_tuples:
-        view = _draw_view(rng, primes)
-        stats["views"] += 1
-        for _ in range(min(per_view, n_tuples - stats["tuples"])):
-            h, i, j = (rng.randrange(-1_000_000, 1_000_001) for _ in range(3))
-            res = recurrence_residual(view, h, i, j)
-            stats["tuples"] += 1
-            if res != 0:
-                stats["failures"].append({**_where(view.curve), "hij": [h, i, j], "residual": res})
+
+    def rows():  # (view, triples), drawn one view at a time
+        while stats["tuples"] < n_tuples:
+            view = _draw_view(rng, primes)
+            stats["views"] += 1
+            count = min(per_view, n_tuples - stats["tuples"])
+            triples = [[rng.randrange(-1_000_000, 1_000_001) for _ in range(3)] for _ in range(count)]
+            stats["tuples"] += count
+            yield from ((view, triples[lo : lo + width]) for lo in range(0, count, width))
+
+    drawn = rows()
+    while block := list(islice(drawn, LADDER_LANES // (9 * width))):
+        for view, hij, res in _recurrence_failures(block):
+            stats["failures"].append({**_where(view.curve), "hij": hij, "residual": res})
     return stats
 
 
@@ -294,7 +329,11 @@ def sweep_small_fields(p_min: int = 5, p_max: int = 50) -> dict:
 def sweep_index_product(trials: int = 1000, seed: int = 0, edge_trials: int = 40) -> dict:
     """psi_{nm}(P) = psi_n([m]P) psi_m(P)^(n^2) at uniform random (view, n, m)
     with 5 <= p <= 1000 and n, m <= 1000, plus extra forced visits (counted
-    separately) to the degenerate branches [m]P = O and [m]P of order 2."""
+    separately) to the degenerate branches [m]P = O and [m]P of order 2.
+    Trials are checked LADDER_LANES // 4 at a time (at most four ladder
+    lanes each)."""
+    if trials < 0 or edge_trials < 0:
+        raise ValueError(f"trials and edge_trials must be >= 0, got {trials} and {edge_trials}")
     primes = primes_in(5, 1000)
     rng = SplitMix64(seed)
     stats = {
@@ -304,30 +343,37 @@ def sweep_index_product(trials: int = 1000, seed: int = 0, edge_trials: int = 40
         "edge_two_torsion": 0,
         "failures": [],
     }
-    for k in range(trials + edge_trials):
-        view = _draw_view(rng, primes)
-        n = rng.randrange(1, 1001)
-        if k < trials:
-            m = rng.randrange(1, 1001)
-        elif (k - trials) % 2 == 0 or view.r % 2:
-            m = view.r * rng.randrange(1, 4)  # [m]P = O branch
-        else:
-            m = (view.r // 2) * (2 * rng.randrange(0, 2) + 1)  # [m]P of order 2
-        q = view.curve.mul(m, view.point)
-        if q is None:
-            stats["edge_infinity"] += 1
-        elif q.y == 0:
-            stats["edge_two_torsion"] += 1
-        if not verify_index_product(view, n, m):
-            stats["failures"].append(
-                {
-                    **_where(view.curve),
-                    "point": {"x": view.point.x, "y": view.point.y},
-                    "n": n,
-                    "m": m,
-                }
-            )
-        stats["trials" if k < trials else "edge_trials"] += 1
+
+    def draws():  # (view, n, m), one trial at a time
+        for k in range(trials + edge_trials):
+            view = _draw_view(rng, primes)
+            n = rng.randrange(1, 1001)
+            if k < trials:
+                m = rng.randrange(1, 1001)
+            elif (k - trials) % 2 == 0 or view.r % 2:
+                m = view.r * rng.randrange(1, 4)  # [m]P = O branch
+            else:
+                m = (view.r // 2) * (2 * rng.randrange(0, 2) + 1)  # [m]P of order 2
+            stats["trials" if k < trials else "edge_trials"] += 1
+            yield view, n, m
+
+    drawn = draws()
+    while block := list(islice(drawn, LADDER_LANES // 4)):
+        holds, mults = verify_index_products(*zip(*block))
+        for (view, n, m), ok, q in zip(block, holds.tolist(), mults):
+            if q is None:
+                stats["edge_infinity"] += 1
+            elif q.y == 0:
+                stats["edge_two_torsion"] += 1
+            if not ok:
+                stats["failures"].append(
+                    {
+                        **_where(view.curve),
+                        "point": {"x": view.point.x, "y": view.point.y},
+                        "n": n,
+                        "m": m,
+                    }
+                )
     return stats
 
 
@@ -393,6 +439,8 @@ def sweep_oracle_random(n_curves: int = 50, seed: int = 0, n_max: int = 2000) ->
     agrees with the halving window at every index n <= n_max, and both agree
     with the x-only recurrence (an independent pointwise recursion) on a
     seeded index sample."""
+    if n_curves < 0 or n_max < 1:
+        raise ValueError(f"need n_curves >= 0 and n_max >= 1, got {n_curves} and {n_max}")
     primes = primes_in(999_999_937 - 60_000, 999_999_937)
     rng = SplitMix64(seed)
     stats = {"curves": 0, "values": 0, "failures": []}
@@ -700,17 +748,11 @@ def cmd_verify(
         checks.append({"identity": name, "status": status, "trials": trials, "failures": failed})
 
     def chk_recurrence() -> int:
-        span = 3 * view.r
-        return sum(
-            recurrence_residual(
-                view,
-                rng.randrange(-span, span + 1),
-                rng.randrange(-span, span + 1),
-                rng.randrange(-span, span + 1),
-            )
-            != 0
-            for _ in range(trials)
-        )
+        span, failed = 3 * view.r, 0
+        drawn = ([rng.randrange(-span, span + 1) for _ in range(3)] for _ in range(trials))
+        while triples := list(islice(drawn, LADDER_LANES // 9)):
+            failed += len(_recurrence_failures([(view, triples)]))
+        return failed
 
     def chk_shift() -> int:
         failed = 0
@@ -722,10 +764,13 @@ def cmd_verify(
 
     def chk_index_product() -> int:
         failed = 0
-        for i in range(trials):
-            n = rng.randrange(1, 31)
-            m = view.r * rng.randrange(1, 4) if i % 8 == 7 else rng.randrange(1, 31)
-            failed += not verify_index_product(view, n, m)
+        drawn = (
+            (rng.randrange(1, 31), view.r * rng.randrange(1, 4) if i % 8 == 7 else rng.randrange(1, 31))
+            for i in range(trials)
+        )
+        while block := list(islice(drawn, LADDER_LANES // 4)):
+            holds, _ = verify_index_products([view] * len(block), *zip(*block))
+            failed += len(block) - int(holds.sum())
         return failed
 
     def chk_period() -> int:

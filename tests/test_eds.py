@@ -390,10 +390,43 @@ def test_psi_ladder_edges():
     assert psi_ladder(views, np.arange(0)).shape == (2, 0)
     assert psi_ladder([], np.arange(5)).shape == (0, 5)
     assert psi_ladder(views, np.array([0, 1])).tolist() == [[0, 1], [0, 1]]
-    with pytest.raises(ValueError, match="one prime"):
-        psi_ladder([*views, seeded_view(1013, 0)], np.arange(10))
-    with pytest.raises(ValueError, match="n >= 0"):
-        psi_ladder(views, np.array([5, -1]))
+    # views of two primes, and negative indices: one call, lane for lane
+    mixed = [*views, seeded_view(1013, 0)]
+    got = psi_ladder(mixed, np.arange(-10, 10))
+    assert got.tolist() == [[v.psi(n) for n in range(-10, 10)] for v in mixed]
+    assert psi_ladder(views, np.array([5, -1])).tolist() == [[v.psi(5), v.psi(-1)] for v in views]
+    assert psi_ladder(views, np.zeros((2, 0), dtype=np.int64)).shape == (2, 0)
+    with pytest.raises(ValueError, match="guarded"):  # |-2**63| wraps in int64
+        psi_ladder(views, np.array([5, -(1 << 63)]))
+
+
+# views over mixed primes, signed 2-D indices: small primes on int64 rows;
+# 9-digit primes (and one at the int64 limit) on int64 rows; a 62-bit prime
+# among them puts every row on object dtype
+LADDER_PRIMES = {
+    "small": ([5, 7, 13, 47, 1009], np.int64, 1 << 12),
+    "9-digit": ([13, 999_999_937, 999_999_929, 3_037_000_493], np.int64, 1 << 40),
+    "62-bit": ([13, 999_999_937, largest_prime_below(1 << 62)], object, 1 << 62),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_PRIMES))
+def test_psi_ladder_mixed_primes_signed_indices(case):
+    primes, dtype, n_max = LADDER_PRIMES[case]
+    rng = SplitMix64(len(case))
+    views = []
+    for p in primes * 3:
+        c = random_curve(field(p), rng)
+        views.append(PsiEvaluator(c, c.random_point(rng, nonzero_y=True)))
+    # per row: small indices of both signs around the seed block, then random
+    # indices of either sign below n_max
+    n = np.array(
+        [list(range(-12, 13)) + [rng.randrange(-n_max + 1, n_max) for _ in range(40)] for _ in views]
+    )
+    got = psi_ladder(views, n)
+    assert got.dtype == dtype and got.shape == n.shape
+    for row, k, view in zip(got.tolist(), n.tolist(), views):
+        assert row == [view.psi(j) for j in k], (view.curve, view.point)
 
 
 def test_index_guard(f5_view):
@@ -407,6 +440,21 @@ def test_index_guard(f5_view):
             f5_view.psi(n)
         with pytest.raises(ValueError, match="guarded"):
             x_only_psi(f5_view.curve, f5_view.point.x, n)
+
+
+def test_row_identity_guards(f5_view):
+    # the row forms hold h + i and the like, and nm and n^2, in int64 lanes
+    period = sequence_period(f5_view).total
+    big = (1 << 61) - 1
+    assert recurrence_residual(f5_view, big, -big, big) == 0
+    assert verify_index_product(f5_view, (1 << 31) - 1, ((1 << 62) - 1) // ((1 << 31) - 1))
+    assert verify_index_product(f5_view, 3, period * ((1 << 62) // (3 * period) - 1))
+    for hij in ((1 << 61, 0, 0), (0, -(1 << 61), 0), (0, 0, 1 << 70)):
+        with pytest.raises(ValueError, match="guarded"):
+            recurrence_residual(f5_view, *hij)
+    for n, m in ((1 << 31, 1), (5, 1 << 62), (1 << 40, 1 << 40)):
+        with pytest.raises(ValueError, match="guarded"):
+            verify_index_product(f5_view, n, m)
 
 
 def test_deep_index_needs_no_recursion(f5_view):

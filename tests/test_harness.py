@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edschar import charsum, cli, harness
+from edschar import charsum, cli, eds, harness
 from edschar import curve as curve_module
 from edschar.curve import EllipticCurve, Point, all_curves
 from edschar.eds import EdsView
@@ -524,6 +524,101 @@ def test_sweep_oracle_random_smoke():
         "values": 432,
         "failures": [],
     }
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: harness.sweep_recurrence(-3), "n_tuples must be >= 0"),
+        (lambda: harness.sweep_index_product(-5, seed=1, edge_trials=8), "trials and edge_trials"),
+        (lambda: harness.sweep_index_product(5, seed=1, edge_trials=-1), "trials and edge_trials"),
+        (lambda: harness.sweep_oracle_random(-2, seed=1), "n_curves >= 0"),
+        (lambda: harness.sweep_oracle_random(1, seed=1, n_max=-4), "n_max >= 1"),
+        (lambda: harness.sweep_oracle_random(1, seed=1, n_max=0), "n_max >= 1"),
+    ],
+)
+def test_randomized_drivers_refuse_negative_counts(call, message, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a view before the guard")
+
+    monkeypatch.setattr(harness, "_draw_view", no_draw)
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_randomized_drivers_zero_counts_are_empty_runs():
+    assert harness.sweep_recurrence(0) == {"tuples": 0, "views": 0, "failures": []}
+    assert harness.sweep_index_product(0, edge_trials=0) == {
+        "trials": 0,
+        "edge_trials": 0,
+        "edge_infinity": 0,
+        "edge_two_torsion": 0,
+        "failures": [],
+    }
+    assert harness.sweep_oracle_random(0) == {"curves": 0, "values": 0, "failures": []}
+
+
+def test_sweep_recurrence_records_one_moved_lane(monkeypatch):
+    # eds.psi_ladder wrapped so that, in the second ladder call, the psi_{h+i}
+    # lane of the first triple from row 20, column 2 on whose psi_{h-i} psi_j != 0 is
+    # off by one mod p: 2000 triples are 500 views of 4 (rows of 36 lanes),
+    # LADDER_LANES // 36 rows a call; lane columns are h, i, j, h + i, ... by 4s
+    ladder, calls, moved = eds.psi_ladder, [], []
+
+    def wrapped(views, n):
+        psi = ladder(views, n)
+        calls.append(len(views))
+        if len(calls) == 2:
+            width = n.shape[1] // 9
+            for k, c in np.ndindex(len(views) - 20, width - 2):
+                view, k, c = views[k + 20], k + 20, c + 2
+                h, i, j = n[k, c : 3 * width : width].tolist()
+                assert n[k, 3 * width + c] == h + i
+                if view.psi(h - i) * view.psi(j) % view.p:
+                    psi[k, 3 * width + c] = (psi[k, 3 * width + c] + 1) % view.p
+                    moved.append((view, [h, i, j]))
+                    break
+        return psi
+
+    monkeypatch.setattr(eds, "psi_ladder", wrapped)
+    stats = harness.sweep_recurrence(2000, seed=1)
+    assert sum(calls) == 500 and set(calls[:-1]) == {harness.LADDER_LANES // 36}
+    ((view, hij),) = moved
+    h, i, j = hij
+    psi, p = view.psi, view.p
+    residual = (
+        (psi(h + i) + 1) * psi(h - i) * psi(j) ** 2
+        + psi(i + j) * psi(i - j) * psi(h) ** 2
+        + psi(j + h) * psi(j - h) * psi(i) ** 2
+    ) % p
+    assert residual != 0
+    where = {"p": p, "a": view.curve.a, "b": view.curve.b}
+    assert stats == {
+        "tuples": 2000,
+        "views": 500,
+        "failures": [{**where, "hij": hij, "residual": residual}],
+    }
+
+
+def test_sweep_index_product_records_one_moved_lane(monkeypatch):
+    # eds.psi_ladder wrapped so that the psi_{nm} lane of trial 137 is off by
+    # one mod p: row k < trials holds [nm, m] at trial k's view
+    clean = harness.sweep_index_product(300, seed=1, edge_trials=40)
+    ladder, moved = eds.psi_ladder, []
+
+    def wrapped(views, n):
+        psi = ladder(views, n)
+        nm, m = n[137].tolist()
+        psi[137, 0] = (psi[137, 0] + 1) % views[137].p
+        moved.append((views[137], nm // m, m))
+        return psi
+
+    monkeypatch.setattr(eds, "psi_ladder", wrapped)
+    stats = harness.sweep_index_product(300, seed=1, edge_trials=40)
+    ((view, n, m),) = moved
+    c, q = view.curve, view.point
+    record = {"p": c.p, "a": c.a, "b": c.b, "point": {"x": q.x, "y": q.y}, "n": n, "m": m}
+    assert stats == {**clean, "failures": [record]}
 
 
 # seed -> (views drawn, of them None, sha256 of the draws, edge_infinity,

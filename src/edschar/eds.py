@@ -477,16 +477,16 @@ def verify_index_products(views: Sequence[EdsView], n, m) -> tuple[np.ndarray, l
         if (v, mk) not in at:
             q = None if mk % v.r == 0 else v.curve.mul(mk, v.point)
             at[v, mk] = q, PsiEvaluator(v.curve, q) if q is not None and q.y else None
-    mults, evs = zip(*(at[v, mk] for v, mk in zip(views, m))) if views else ((), ())
-    general = [k for k, ev in enumerate(evs) if ev is not None]
+    trials = [at[v, mk] for v, mk in zip(views, m)]
+    general = [k for k, (_, ev) in enumerate(trials) if ev is not None]
     lanes = [[nk * mk, mk] for nk, mk in zip(n, m)] + [[n[k], 0] for k in general]
-    rows = [*views, *(evs[k] for k in general)]
+    rows = [*views, *(trials[k][1] for k in general)]
     psi = psi_ladder(rows, np.array(lanes, dtype=np.int64).reshape(-1, 2))
     p = _lane_primes(views)[:, 0]
     lhs, psi_m = psi[: len(views)].T
     psi_n_q = np.zeros_like(lhs)  # at O and at 2-torsion with even n
     psi_n_q[general] = psi[len(views) :, 0]
-    for k, q in enumerate(mults):
+    for k, (q, _) in enumerate(trials):
         if q is not None and q.y == 0 and n[k] % 2:
             psi_n_q[k] = x_only_psi(views[k].curve, q.x, n[k])
     e = np.array(n, dtype=np.int64) ** 2
@@ -494,7 +494,7 @@ def verify_index_products(views: Sequence[EdsView], n, m) -> tuple[np.ndarray, l
     for bit in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
         power = power * power % p
         power = np.where(e >> bit & 1, power * psi_m % p, power)
-    return lhs == psi_n_q * power % p, list(mults)
+    return lhs == psi_n_q * power % p, [q for q, _ in trials]
 
 
 def verify_index_product(view: EdsView, n: int, m: int) -> bool:

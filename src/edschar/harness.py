@@ -8,8 +8,8 @@ drawn again when the curve has no such point.  sweep_recurrence and
 sweep_index_product (and verify's recurrence and index-product checks) draw a
 block of views and indices first, then take every psi value of the block from
 one psi_ladder call over views of many primes, at most LADDER_LANES lanes,
-and compare over arrays; evaluation draws nothing, so the draws are those of
-one trial at a time.  Scan output is a list of
+and compare over arrays; evaluation takes no random numbers, so the draws
+are those of checking each trial as it is drawn.  Scan output is a list of
 JSON-ready records with a fixed schema (see make_record), one per prime in
 ascending order whatever the worker count, so multi-process runs are
 byte-identical to single-process runs apart from the "ts" wall-clock field.

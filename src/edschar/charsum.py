@@ -16,6 +16,14 @@ or d*r): N = 0 is the empty sum; N < 0 and N >= 2**512 raise.  The chi
 window and the order-d exponent windows are kept on the view (EdsView.windows),
 one per character, and freed with it; the module keeps no cache of its own.
 
+A complex sum not read from a spectrum (a twisted sum, or an order-d sum's
+roots of unity weighted by their counts) is the exact sum of its float phase
+terms, rounded once: the float math.fsum would return.  The terms are taken
+PHASE_BLOCK at a time from the kept window, each block's doubles are added
+exactly as integers per binary exponent (np.frexp, np.bincount), and one
+Python int holds the total; so no full-length index, angle or phase array is
+built, and no term is visited from Python.
+
 The Weil checks evaluate chi(f(P)) on the (M, L) group grid of
 curve.group_grid, which is built by vectorized chord steps from the
 generators, checked pairwise distinct and cached on the curve, and take
@@ -38,10 +46,16 @@ from .symbolic import division_poly_tower, horner
 
 TWO_PI = 2.0 * math.pi
 
-# Rounding envelope per accumulated term.  Sums of phase terms are rounded
-# once by math.fsum, which keeps the true error orders of magnitude below
-# this at desk scale.
+# Rounding envelope per accumulated term.  Each phase term is one cos or sin
+# and one product, and the sum of the terms is exact, rounded once, so the
+# true error stays orders of magnitude below this at desk scale.
 TERM_ERR = 2.0**-40
+
+# Terms per block of a phase sum, chosen by timing 2**12 .. 2**16 at R from
+# 4 * 10^3 to 2 * 10^6 (2**13 and 2**14 were fastest; a block's arrays peak at
+# about 1.1 MiB).  It must stay <= 2**26, so that a block's per-exponent sums
+# of 27-bit mantissa halves are exact in float64.
+PHASE_BLOCK = 1 << 14
 
 WINDOW_MAX = 20_000_000  # longest character window we will materialize
 COMPLETE_MAX = 10_000_000  # largest R for complete-sum evaluation
@@ -149,15 +163,45 @@ def bias_report(view: EdsView, n_terms: int) -> BiasReport:
     )
 
 
-def _phase_sum(ks: np.ndarray, weights: np.ndarray, length: int) -> ComplexSum:
-    """sum_i weights[i] * e(ks[i] / length) for integer weights, each part
-    rounded once by math.fsum; the bound charges TERM_ERR per unit term."""
-    angles = ks * (TWO_PI / length)
-    return ComplexSum(
-        re=math.fsum(weights * np.cos(angles)),
-        im=math.fsum(weights * np.sin(angles)),
-        err_bound=int(np.abs(weights).sum()) * TERM_ERR,
-    )
+def _exact(x: np.ndarray) -> int:
+    """sum(x) * 2**1126 as an exact Python int, for a float64 array of at most
+    2**26 finite terms: every finite double times 2**1126 is an integer.
+
+    Each double is m * 2**(e - 53), so m << (e + 1073) after scaling, with an
+    integer mantissa |m| < 2**53 (np.frexp) split as m = hi * 2**26 + lo,
+    |hi| < 2**27 and |lo| < 2**26; np.bincount sums each half per exponent,
+    exactly, since no sum reaches 2**53."""
+    if not len(x):
+        return 0
+    mant, exp = np.frexp(x)
+    mant *= 2.0**53
+    hi = np.trunc(mant * 2.0**-26)
+    lo = mant - hi * 2.0**26
+    low = int(exp.min())
+    at = exp - low
+    sums = zip(np.bincount(at, hi).tolist(), np.bincount(at, lo).tolist())
+    return sum(((int(h) << 26) + int(l)) << j for j, (h, l) in enumerate(sums)) << (low + 1073)
+
+
+def _blocks(length: int):
+    """The positions 0 .. length - 1 as int64 arrays of at most PHASE_BLOCK."""
+    for start in range(0, length, PHASE_BLOCK):
+        yield np.arange(start, min(start + PHASE_BLOCK, length))
+
+
+def _phase_sum(blocks, length: int) -> ComplexSum:
+    """sum_i weights[i] * e(ks[i] / length) over blocks of (ks, weights),
+    integer weights: the exact sum of the float terms, rounded once (the
+    float math.fsum gives); the bound charges TERM_ERR per unit term.
+    Terms of weight 0 add exactly 0."""
+    re = im = weight = 0
+    for ks, weights in blocks:
+        angles = ks * (TWO_PI / length)
+        re += _exact(weights * np.cos(angles))
+        im += _exact(weights * np.sin(angles))
+        weight += int(np.abs(weights).sum())
+    # int true division rounds correctly
+    return ComplexSum(re=re / (1 << 1126), im=im / (1 << 1126), err_bound=weight * TERM_ERR)
 
 
 def complete_sum(view: EdsView, a: int) -> ComplexSum:
@@ -166,8 +210,8 @@ def complete_sum(view: EdsView, a: int) -> ComplexSum:
     if length > COMPLETE_MAX:
         raise ValueError(f"complete sums guarded at R <= {COMPLETE_MAX}")
     window = chi_window(view, length)
-    idx = np.flatnonzero(window)
-    return _phase_sum((a % length) * (idx + 1) % length, window[idx], length)
+    step = a % length
+    return _phase_sum(((step * (i + 1) % length, window[i]) for i in _blocks(length)), length)
 
 
 def complete_spectrum(view: EdsView) -> np.ndarray:
@@ -250,14 +294,17 @@ def order_d_sums(view: EdsView, d: int, mode: str, x: int) -> ComplexSum:
             lambda k: order_d_exponents(view, d, k), period, x,
             lambda w: np.bincount(w + 1, minlength=d + 1)[1:],
         )
-        return _phase_sum(np.arange(d), np.array(counts, dtype=np.float64), d)
+        counts = np.array(counts, dtype=np.float64)
+        return _phase_sum(((i, counts[i]) for i in _blocks(d)), d)
     if mode != "complete":
         raise ValueError(f"mode must be 'complete' or 'incomplete', got {mode!r}")
-    # phase index k_n = (a*n + exps_n * r) mod d*r
+    # phase index k_n = (a*n + exps_n * r) mod d*r, weight 0 at the zeros
     exps = order_d_exponents(view, d, period)
-    idx = np.flatnonzero(exps >= 0)
-    ks = ((x % period) * (idx + 1) + exps[idx] * view.r) % period
-    return _phase_sum(ks, np.ones(len(idx)), period)
+    step = x % period
+    return _phase_sum(
+        (((step * (i + 1) + exps[i] * view.r) % period, exps[i] >= 0) for i in _blocks(period)),
+        period,
+    )
 
 
 # -- Weil-bound brute force ----------------------------------------------------

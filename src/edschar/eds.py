@@ -23,7 +23,7 @@ rows of lanes, one lane per (view, index n), every lane walking the same
 number of steps, with views over one prime or many (int64 when
 (max p - 1)^2 < 2^63, object dtype above), and :func:`recurrence_residuals`
 and :func:`verify_index_products` check the two defining identities on its
-rows;
+rows, :func:`verify_shift_identities` the shift identity;
 :class:`EdsView` is a PsiEvaluator that also holds the point order r, the
 order-shift constants and the character windows built from it (so they are
 freed with it).  :func:`psi_window` takes any evaluator and applies the same
@@ -405,20 +405,41 @@ def recurrence_residual(ev: PsiEvaluator, h: int, i: int, j: int) -> int:
     return int(recurrence_residuals([ev], *(np.array([[k]]) for k in (h, i, j)))[0, 0])
 
 
-def verify_shift_identity(view: EdsView, s: int, k: int) -> bool:
-    """Check psi_{sr+k} = a^(ks) b^(s^2) psi_k for one (s, k), s >= 0, k >= 1."""
-    if s < 0 or k < 1:
+def _power_rows(bases: np.ndarray, exps: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """prod_j bases[t, j]^exps[t, j] mod p[t] for every row t, by the bits of
+    the exponents from the top; bases and p share a dtype (int64 or object)."""
+    power = np.ones(len(bases), dtype=bases.dtype)
+    for bit in range(int(exps.max(initial=0)).bit_length() - 1, -1, -1):
+        power = power * power % p
+        for base, e in zip(bases.T, exps.T):
+            power = np.where(e >> bit & 1, power * base % p, power)
+    return power
+
+
+def verify_shift_identities(views: Sequence[EdsView], s, k) -> np.ndarray:
+    """Check psi_{sr+k} = a^(ks) b^(s^2) psi_k at views[t] for each trial
+    (s[t], k[t]), s >= 0, k >= 1: whether it holds, per trial.  Row t of one
+    psi_ladder call holds the lanes [s r + k, k] at views[t]; the shift
+    constants a, b are units, so their exponents are taken mod p - 1."""
+    if min(s, default=0) < 0 or min(k, default=1) < 1:
         raise ValueError("requires s >= 0 and k >= 1")
-    p = view.curve.p
-    lhs = view.psi(s * view.r + k)
-    rhs = (
-        pow(view.mult_a, k * s, p)
-        * pow(view.mult_b, s * s, p)
-        % p
-        * view.psi(k)
-        % p
-    )
-    return lhs == rhs
+    n = [sj * v.r + kj for v, sj, kj in zip(views, s, k)]
+    if max(n, default=0) >= 1 << 63:
+        raise ValueError("shift-identity lanes guarded at s*r + k < 2**63")  # int64 lanes
+    lanes = np.array([n, list(k)], dtype=np.int64).T
+    lhs, psi_k = psi_ladder(views, lanes).T
+    p = _lane_primes(views)[:, 0]
+    units = np.array([[v.mult_a, v.mult_b] for v in views], dtype=p.dtype).reshape(-1, 2)
+    exps = np.array(
+        [[kj * sj % (v.p - 1), sj * sj % (v.p - 1)] for v, sj, kj in zip(views, s, k)],
+        dtype=p.dtype,
+    ).reshape(-1, 2)
+    return lhs == _power_rows(units, exps, p) * psi_k % p
+
+
+def verify_shift_identity(view: EdsView, s: int, k: int) -> bool:
+    """verify_shift_identities at one trial."""
+    return bool(verify_shift_identities([view], [s], [k])[0])
 
 
 def x_only_psi(curve: EllipticCurve, x0: int, n: int) -> int:
@@ -490,10 +511,7 @@ def verify_index_products(views: Sequence[EdsView], n, m) -> tuple[np.ndarray, l
         if q is not None and q.y == 0 and n[k] % 2:
             psi_n_q[k] = x_only_psi(views[k].curve, q.x, n[k])
     e = np.array(n, dtype=np.int64) ** 2
-    power = np.ones_like(lhs)  # psi_m^(n^2) by the bits of n^2, from the top
-    for bit in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
-        power = power * power % p
-        power = np.where(e >> bit & 1, power * psi_m % p, power)
+    power = _power_rows(psi_m[:, None], e[:, None], p)  # psi_m^(n^2)
     return lhs == psi_n_q * power % p, [q for q, _ in trials]
 
 

@@ -5,11 +5,11 @@ with a fixed splitmix64 generator, so runs are reproducible across platforms,
 Python versions, and worker counts.  The three randomized sweeps draw each
 view with _draw_view: a prime, a curve and a point with y != 0, all three
 drawn again when the curve has no such point.  sweep_recurrence and
-sweep_index_product (and verify's recurrence and index-product checks) draw a
-block of views and indices first, then take every psi value of the block from
-one psi_ladder call over views of many primes, at most LADDER_LANES lanes,
-and compare over arrays; evaluation takes no random numbers, so the draws
-are those of checking each trial as it is drawn.  Scan output is a list of
+sweep_index_product (and verify's recurrence, shift and index-product
+checks) draw a block of views and indices first, then take every psi value
+of the block from one psi_ladder call over views of many primes, at most
+LADDER_LANES lanes, and compare over arrays; evaluation takes no random
+numbers, so the draws are those of checking each trial as it is drawn.  Scan output is a list of
 JSON-ready records with a fixed schema (see make_record), one per prime in
 ascending order whatever the worker count, so multi-process runs are
 byte-identical to single-process runs apart from the "ts" wall-clock field.
@@ -49,6 +49,7 @@ from .eds import (
     recurrence_residuals,
     sequence_period,
     verify_index_products,
+    verify_shift_identities,
     verify_shift_identity,
     x_only_psi,
 )
@@ -756,10 +757,10 @@ def cmd_verify(
 
     def chk_shift() -> int:
         failed = 0
-        for _ in range(trials):
-            s = rng.randrange(0, 6)
-            k = rng.randrange(1, 2 * view.r + 1)
-            failed += not verify_shift_identity(view, s, k)
+        drawn = ((rng.randrange(0, 6), rng.randrange(1, 2 * view.r + 1)) for _ in range(trials))
+        while block := list(islice(drawn, LADDER_LANES // 2)):
+            holds = verify_shift_identities([view] * len(block), *zip(*block))
+            failed += len(block) - int(holds.sum())
         return failed
 
     def chk_index_product() -> int:
@@ -912,19 +913,38 @@ def _bench_weil_spectra(seed: int) -> dict:
     return {"p": 31, **counts, "seconds": seconds}
 
 
-def _bench_spectrum(seed: int) -> dict:
-    # the FFT spectrum at R ~ 2*10^6, its window built before the clock and
-    # the trace start, so both cover only the spectrum's own work
-    p = 999_983
-    view = seeded_view(p, seed)
+def _traced(view: EdsView, fn) -> tuple:
+    """fn() run once, timed and traced after view's chi window is built and
+    kept, so that both cover only fn's own work: its result, the seconds and
+    the tracemalloc peak in MiB."""
     charsum.chi_window(view, view.window_length)
     tracemalloc.start()
     try:
-        _, (seconds,) = _timed(lambda: charsum.complete_spectrum(view))
+        result, (seconds,) = _timed(fn)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {"p": p, "terms": view.window_length, "seconds": seconds, "peak_mib": peak / 2**20}
+    return result, seconds, peak / 2**20
+
+
+def _bench_spectrum(seed: int) -> dict:
+    # the FFT spectrum at R ~ 2*10^6
+    p = 999_983
+    view = seeded_view(p, seed)
+    _, seconds, peak = _traced(view, lambda: charsum.complete_spectrum(view))
+    return {"p": p, "terms": view.window_length, "seconds": seconds, "peak_mib": peak}
+
+
+def _bench_complete_sum(seed: int) -> dict:
+    # one twisted sum by blocks at R ~ 2*10^6, at a prime of its own (the
+    # seeded streams are keyed by p)
+    p, a = 999_959, 1
+    view = seeded_view(p, seed)
+    cs, seconds, peak = _traced(view, lambda: charsum.complete_sum(view, a))
+    return {
+        "p": p, "a": a, "terms": view.window_length, "seconds": seconds, "peak_mib": peak,
+        "re": cs.re, "im": cs.im, "err_bound": cs.err_bound,
+    }
 
 
 def _bench_reconstruction(seed: int) -> dict:
@@ -942,6 +962,7 @@ BENCH_ENTRIES = {
     "group_grid": _bench_group_grid,
     "weil_spectra": _bench_weil_spectra,
     "spectrum": _bench_spectrum,
+    "complete_sum": _bench_complete_sum,
     "reconstruction": _bench_reconstruction,
 }
 

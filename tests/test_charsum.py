@@ -7,14 +7,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from edschar import charsum as charsum_module
 from edschar.charsum import (
+    PHASE_BLOCK,
     WEIL_ELL_MAX,
     WINDOW_MAX,
     BiasReport,
     ComplexSum,
     _chi_grid,
+    _exact,
     _spectrum,
     averaged_spectrum,
     bias_report,
@@ -285,6 +288,119 @@ def test_complete_spectrum_peak_memory_per_term():
         tracemalloc.stop()
     assert len(spec) == length
     assert peak / length <= 44
+
+
+# -- exact phase sums -----------------------------------------------------------------
+
+# every finite double, +-0.0 and subnormals included, up to 2**600 in magnitude
+FINITE = st.floats(min_value=-(2.0**600), max_value=2.0**600, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(FINITE, max_size=24),
+    length=st.integers(0, 2 * PHASE_BLOCK + 3),
+    cancel=st.booleans(),
+    cuts=st.lists(st.integers(0, 4 * PHASE_BLOCK + 6), max_size=4),
+)
+@example(values=[], length=0, cancel=False, cuts=[])
+@example(values=[-0.0], length=3, cancel=False, cuts=[1])
+@example(values=[0.0, -0.0], length=2, cancel=True, cuts=[])
+@example(values=[5e-324, -1e-323, 2.0**-1022], length=PHASE_BLOCK + 1, cancel=False, cuts=[7])
+@example(values=[1.0, 2.0**-53], length=2, cancel=False, cuts=[1])  # a tie: to even
+@example(values=[1.0, 2.0**-53, 2.0**-600], length=3, cancel=False, cuts=[])
+@example(values=[2.0**600, 1.0, -(2.0**600)], length=3, cancel=False, cuts=[1, 2])
+@example(values=[0.1, -0.3, 1e300], length=PHASE_BLOCK, cancel=True, cuts=[PHASE_BLOCK])
+def test_exact_sum_rounded_once_is_fsum(values, length, cancel, cuts):
+    # the blocks' exact integer sums, added and rounded once, are math.fsum's
+    # float bit for bit, however the array is cut into blocks
+    x = np.resize(np.array(values, dtype=np.float64), length if values else 0)
+    if cancel:  # every term meets its negation: the sum is exactly 0
+        x = np.concatenate([x, -x[::-1]])
+    want = math.fsum(x).hex()
+    assert (_exact(x) / (1 << 1126)).hex() == want
+    blocks = np.split(x, sorted(cuts))
+    assert (sum(_exact(b) for b in blocks) / (1 << 1126)).hex() == want
+
+
+def _fsum_phase_sum(ks, weights, length):
+    """The phase sum as it was written with math.fsum: the oracle of the
+    blocked exact sum."""
+    angles = ks * (2.0 * math.pi / length)
+    return ComplexSum(
+        re=math.fsum(weights * np.cos(angles)),
+        im=math.fsum(weights * np.sin(angles)),
+        err_bound=int(np.abs(weights).sum()) * 2.0**-40,
+    )
+
+
+# (p, seed, block): R < PHASE_BLOCK; R = 4 and 2 blocks (a block set to a
+# divisor of R); R = 3 PHASE_BLOCK + 1022
+@pytest.mark.parametrize(
+    "p, seed, block", [(1009, 3, None), (20_021, 1, 995), (99_991, 1, 25_087), (99_991, 1, None)]
+)
+def test_blocked_sums_equal_fsum_formula(p, seed, block, monkeypatch):
+    view = seeded_view(p, seed)
+    length, r = view.window_length, view.r
+    if block is not None:
+        monkeypatch.setattr(charsum_module, "PHASE_BLOCK", block)
+        assert length % block == 0 and length // block in (2, 4)
+    window = chi_window(view, length)
+    idx = np.flatnonzero(window)
+    for a in (0, 1, 3, 12345, length - 1):
+        want = _fsum_phase_sum((a % length) * (idx + 1) % length, window[idx], length)
+        got = complete_sum(view, a)
+        assert (got.re.hex(), got.im.hex(), got.err_bound) == (want.re.hex(), want.im.hex(), want.err_bound)
+    for d in (2, 3, 4):
+        if (p - 1) % d:
+            continue
+        period = d * r
+        exps = order_d_exponents(view, d, period)
+        idx = np.flatnonzero(exps >= 0)
+        for x in (0, 1, 3, 12345, period - 1):
+            ks = ((x % period) * (idx + 1) + exps[idx] * r) % period
+            want = _fsum_phase_sum(ks, np.ones(len(idx)), period)
+            got = order_d_sums(view, d, "complete", x)
+            assert (got.re.hex(), got.im.hex(), got.err_bound) == (want.re.hex(), want.im.hex(), want.err_bound)
+
+
+@pytest.fixture(scope="module")
+def view_2m():
+    # R = 1 999 348, with its chi and order-2 windows built and kept, so that a
+    # trace started after this covers only a sum's own arrays
+    view = seeded_view(999_983, 0)
+    assert view.window_length == 1_999_348
+    chi_window(view, view.window_length)
+    order_d_exponents(view, 2, view.window_length)
+    return view
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_complete_sum_peak_memory_is_one_block(view_2m):
+    # blocks of PHASE_BLOCK terms: a fixed budget whatever R (1.14 MiB measured
+    # at 2**14, 0.6 B/term here; it was 63 MiB, 33 B/term, with full-length arrays)
+    assert _traced_peak(lambda: complete_sum(view_2m, 3)) <= 1.5 * 2**20
+
+
+def test_order_d_complete_peak_memory_is_one_block(view_2m):
+    # the same fixed budget (1.14 MiB measured; it was 76 MiB, 40 B/term)
+    assert _traced_peak(lambda: order_d_sums(view_2m, 2, "complete", 3)) <= 1.5 * 2**20
+
+
+def test_chi_window_peak_memory_per_term():
+    # the kept int8 window (1 B/term) and psi_window's int64 levels: 20.5 B/term
+    # measured at R = 1 999 696
+    view = seeded_view(999_959, 0)
+    length = view.window_length
+    assert _traced_peak(lambda: chi_window(view, length)) / length <= 21
 
 
 def test_parseval(f5_view):

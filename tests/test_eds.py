@@ -25,6 +25,7 @@ from edschar.eds import (
     recurrence_residual,
     sequence_period,
     verify_index_product,
+    verify_shift_identities,
     verify_shift_identity,
     x_only_psi,
 )
@@ -192,6 +193,31 @@ def test_shift_identity_rejects_bad_arguments(f5_view):
         verify_shift_identity(f5_view, -1, 1)
     with pytest.raises(ValueError):
         verify_shift_identity(f5_view, 2, 0)
+
+
+def _shift_oracle(view, s, k) -> bool:
+    """The shift identity at one (s, k) by scalar psi and pow."""
+    p = view.p
+    rhs = pow(view.mult_a, k * s, p) * pow(view.mult_b, s * s, p) % p * view.psi(k) % p
+    return view.psi(s * view.r + k) == rhs
+
+
+def test_verify_shift_identities_match_scalar_oracle(f5_view, f5_r7_view):
+    # rows over mixed primes, trial by trial against psi and pow, on true views
+    # and on copies whose constant a is doubled, so that some trials fail
+    rng = random.Random(11)
+    true = [f5_view, f5_r7_view, _VIEW_BIG, seeded_view(10_007, 1)]
+    moved = [EdsView(v.curve, v.point, v.r) for v in true]
+    for v in moved:
+        v.mult_a = 2 * v.mult_a % v.p
+    views = [rng.choice(true + moved) for _ in range(400)]
+    s = [rng.randrange(0, 40) for _ in views]
+    k = [rng.randrange(1, 3 * v.r + 1) for v in views]
+    want = [_shift_oracle(*trial) for trial in zip(views, s, k)]
+    assert verify_shift_identities(views, s, k).tolist() == want
+    assert all(w for w, v in zip(want, views) if any(v is t for t in true))
+    assert 50 < want.count(False) < 400
+    assert verify_shift_identities([], [], []).shape == (0,)
 
 
 # -- sequential paths agree with the evaluator ---------------------------------------
@@ -443,7 +469,7 @@ def test_index_guard(f5_view):
 
 
 def test_row_identity_guards(f5_view):
-    # the row forms hold h + i and the like, and nm and n^2, in int64 lanes
+    # the row forms hold h + i and the like, nm and n^2, and s r + k, in int64 lanes
     period = sequence_period(f5_view).total
     big = (1 << 61) - 1
     assert recurrence_residual(f5_view, big, -big, big) == 0
@@ -455,6 +481,13 @@ def test_row_identity_guards(f5_view):
     for n, m in ((1 << 31, 1), (5, 1 << 62), (1 << 40, 1 << 40)):
         with pytest.raises(ValueError, match="guarded"):
             verify_index_product(f5_view, n, m)
+    # the shift identity's lane s r + k, at the last index below 2**63 and past it
+    r = f5_view.r
+    s, k = divmod((1 << 63) - 1, r)
+    assert k and verify_shift_identity(f5_view, s, k)
+    for s, k in ((s, r), (1 << 70, 1)):
+        with pytest.raises(ValueError, match="guarded"):
+            verify_shift_identity(f5_view, s, k)
 
 
 def test_deep_index_needs_no_recursion(f5_view):

@@ -921,6 +921,32 @@ def test_cmd_verify_records_a_failed_identity(monkeypatch, capsys):
     )
 
 
+def test_cmd_verify_shift_counts_each_failed_trial(monkeypatch):
+    # a view whose shift constant a is doubled: the blocked check counts the
+    # trials that fail, drawn as the scalar loop draws them, over 3 blocks
+    args, trials = (1009, 11, 17, 1, 188), 5000
+    assert trials > 2 * (harness.LADDER_LANES // 2)
+
+    def moved(curve, point):
+        view = EdsView(curve, point)
+        view.mult_a = 2 * view.mult_a % view.p
+        return view
+
+    monkeypatch.setattr(harness, "EdsView", moved)
+    view = moved(*harness._curve_point(*args)[:2])
+    p, r, rng, want = view.p, view.r, stream(0, 1009), 0
+    for _ in range(trials):
+        s = rng.randrange(0, 6)
+        k = rng.randrange(1, 2 * r + 1)
+        rhs = pow(view.mult_a, k * s, p) * pow(view.mult_b, s * s, p) % p * view.psi(k) % p
+        want += view.psi(s * r + k) != rhs
+    out = harness.cmd_verify(*args, identity="shift", trials=trials)
+    assert 0 < want < trials
+    assert out["checks"] == [
+        {"identity": "shift", "status": "fail", "trials": trials, "failures": want}
+    ]
+
+
 def test_cmd_verify_needs_a_trial(capsys):
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials must be >= 1"):

@@ -366,6 +366,14 @@ def _chi_grid(curve: EllipticCurve, polys) -> np.ndarray:
     return out
 
 
+def _stack_rows(polys) -> np.ndarray:
+    """Coefficient arrays, 1-D or stacks of rows, of one leading shape:
+    padded with zero high coefficients to one width and stacked on axis -2."""
+    width = max(f.shape[-1] for f in polys)
+    pad = [(0, 0)] * (polys[0].ndim - 1)
+    return np.stack([np.pad(f, [*pad, (0, width - f.shape[-1])]) for f in polys], axis=-2)
+
+
 def _spectrum(grid: np.ndarray) -> np.ndarray:
     """sum_P omega_{a,b}(P) grid[P] for every character (a, b), over the last
     two axes: a grid or a stack of grids, one ifft2 for the whole stack."""

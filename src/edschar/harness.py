@@ -40,6 +40,7 @@ from .curve import (
 from .eds import (
     EdsView,
     PsiEvaluator,
+    _psi3_f4,
     least_shift,
     psi_ladder,
     psi_sequence,
@@ -55,7 +56,7 @@ from .eds import (
 )
 from .field import PrimeField, field, is_probable_prime, primes_in
 from .rng import SplitMix64, stream
-from .symbolic import division_poly_batch, psi_batch
+from .symbolic import division_poly_batch, horner, psi_batch
 
 SCHEMA_VERSION = "1"
 THREADS_MAX = 64  # scan worker processes; each is forked at the pool's first submit
@@ -467,6 +468,32 @@ def sweep_oracle_random(n_curves: int = 50, seed: int = 0, n_max: int = 2000) ->
 # -- sweep: point-sum bounds over the group -------------------------------------
 
 
+WEIL_ELL_SETS = ((3,), (5,), (3, 5))
+
+
+def _weil_anchors(fld: PrimeField, curves: list, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Criterion 6's exact anchors for a run of curves of one prime, rows
+    their (curves, 2, D) tower rows f_3 and f_5.  Per curve: whether both
+    rows agree at every x in F_p with the closed forms psi_3 and
+    f_5 = 8 C^2 f_4 - f_3^3 (C = x^3 + Ax + B, f_4 = psi_4 / y); and, per ell
+    set of WEIL_ELL_SETS, the exact trivial-character sum
+    sum_x (1 + chi(C(x))) chi(f(x)) over the closed forms, each x counted
+    once per point above it.  Neither reads a grid or a spectrum."""
+    p = fld.p
+    a = np.array([c.a for c in curves], dtype=np.int64)[:, None]
+    b = np.array([c.b for c in curves], dtype=np.int64)[:, None]
+    x = np.arange(p, dtype=np.int64)
+    f3, f4 = _psi3_f4(p, a, b, x)
+    rhs = (x * x % p * x + a * x + b) % p
+    f5 = (8 * (rhs * rhs % p) % p * f4 - f3 * f3 % p * f3) % p
+    tower_ok = (horner(rows[:, :, None, :], x, p) == np.stack([f3, f5], 1)).all(axis=(1, 2))
+    chi = fld.chi_table()
+    points = 1 + chi[rhs].astype(np.int64)
+    c3, c5 = chi[f3], chi[f5]
+    trivial = np.stack([points * c3, points * c5, points * (c3 * c5)], 1).sum(-1)
+    return tower_ok, trivial
+
+
 def sweep_weil(p_min: int = 5, p_max: int = 100) -> dict:
     """Brute-force |sum_P omega(P) chi(f(P))| <= 2 d sqrt(p) for
     f in {psi_3, psi_5, psi_3 psi_5}, every group character omega, every curve
@@ -477,7 +504,11 @@ def sweep_weil(p_min: int = 5, p_max: int = 100) -> dict:
 
     The bound comparison allows only the FFT rounding envelope; bare_exceed
     counts sums whose modulus tops the bound even before that allowance.
-    max_ratio records the worst modulus/bound ratio seen.
+    max_ratio records the worst modulus/bound ratio seen.  Two exact anchors
+    (_weil_anchors) write a failure record only when they fail: "tower" when
+    a curve's tower rows f_3 or f_5 differ from the closed forms at some x,
+    and "trivial-sum" when a full-group spectrum's trivial entry is further
+    than the FFT envelope from the exact integer sum.
     """
     # (M, L) -> the annihilator groups of the nontrivial subgroups of index
     # <= 4, and a (1 + k, M, L) stack of masks: all true (the full
@@ -498,9 +529,15 @@ def sweep_weil(p_min: int = 5, p_max: int = 100) -> dict:
         # psi_3 and psi_5 of every curve of the prime from one batched tower;
         # the loop makes its curves afresh, so that no curve keeps its group
         # grid past its own turn
-        tower = division_poly_batch(list(all_curves(field(p))), 5)
-        for curve, f3, f5 in zip(all_curves(field(p)), tower[3][1], tower[5][1]):
+        curves = list(all_curves(field(p)))
+        tower = division_poly_batch(curves, 5)
+        rows = charsum._stack_rows([tower[3][1], tower[5][1]])
+        tower_ok, trivial = _weil_anchors(field(p), curves, rows)
+        del curves
+        for c, (curve, f3, f5) in enumerate(zip(all_curves(field(p)), tower[3][1], tower[5][1])):
             stats["curves"] += 1
+            if not tower_ok[c]:
+                stats["failures"].append({**_where(curve), "check": "tower"})
             # group_structure builds and caches the group grid, which
             # _chi_grid reads, so each curve's group is walked once
             s = group_structure(curve)
@@ -518,6 +555,7 @@ def sweep_weil(p_min: int = 5, p_max: int = 100) -> dict:
             # spec[:, 0] are the full-group spectra
             spec = charsum._spectrum(np.stack([g3, g5, g3 * g5])[:, None] * masks)
             tops = np.abs(spec).max(axis=(-2, -1)).tolist()
+            trivial_gaps = np.abs(spec[:, 0, 0, 0] - trivial[c]).tolist()
             # per subgroup, the gap of each ell set's masked spectrum to the
             # average of its full spectrum over the annihilator
             gaps = [
@@ -526,7 +564,7 @@ def sweep_weil(p_min: int = 5, p_max: int = 100) -> dict:
                 .tolist()
                 for j, omega_h in enumerate(groups, 1)
             ]
-            for i, ells in enumerate(((3,), (5,), (3, 5))):
+            for i, ells in enumerate(WEIL_ELL_SETS):
                 d = charsum.weil_degree(ells)
                 bound = 2 * d * sqrt_p
                 stats["spectra"] += 1
@@ -538,6 +576,10 @@ def sweep_weil(p_min: int = 5, p_max: int = 100) -> dict:
                 failure = {**_where(curve), "ells": list(ells)}
                 if top > bound + fft_err:
                     stats["failures"].append({**failure, "max": top})
+                if trivial_gaps[i] > fft_err:
+                    stats["failures"].append(
+                        {**failure, "check": "trivial-sum", "gap": trivial_gaps[i]}
+                    )
                 for gaps_h, sub_top in zip(gaps, sub_tops):
                     gap = gaps_h[i]
                     scale = max(1.0, sub_top)

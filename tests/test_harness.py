@@ -307,6 +307,48 @@ def test_sweep_weil_lists_subgroups_once_per_shape(monkeypatch):
     assert set(calls) == shapes
 
 
+def _weil_records(stats: dict, check: str) -> list:
+    return [f for f in stats["failures"] if f.get("check") == check]
+
+
+def test_sweep_weil_tower_anchor_sees_rolled_rows(monkeypatch):
+    # every curve handed its neighbour's f_n: the bounds and the averaging
+    # identity cannot see it (a +-1 grid of about p cells sums far below
+    # 2 d sqrt(p), and the identity holds for any grid); the anchors must
+    build = harness.division_poly_batch
+
+    def rolled(curves, n_max):
+        return [(t, np.roll(f, 1, axis=0)) for t, f in build(curves, n_max)]
+
+    monkeypatch.setattr(harness, "division_poly_batch", rolled)
+    stats = harness.sweep_weil(5, 13)
+    curves = [c for p in (5, 7, 11, 13) for c in all_curves(field(p))]
+    assert _weil_records(stats, "tower") == [
+        {"p": c.p, "a": c.a, "b": c.b, "check": "tower"} for c in curves
+    ]
+    assert len(curves) == stats["curves"] == 328
+    assert {f.get("check") for f in stats["failures"]} == {"tower", "trivial-sum"}
+
+
+def test_sweep_weil_trivial_sum_anchor_sees_a_flipped_cell(monkeypatch):
+    # one non-infinity cell of every chi grid changed (0 -> 1, +-1 -> -+1):
+    # each psi_3 and psi_5 spectrum's trivial entry moves by 1 or 2
+    grids = charsum._chi_grid
+
+    def flipped(curve, polys):
+        out = grids(curve, polys)
+        out[1, 0] = 1 if out[1, 0] == 0 else -out[1, 0]
+        return out
+
+    monkeypatch.setattr(charsum, "_chi_grid", flipped)
+    stats = harness.sweep_weil(5, 13)
+    found = {(f["p"], f["a"], f["b"], tuple(f["ells"])) for f in _weil_records(stats, "trivial-sum")}
+    for p in (5, 7, 11, 13):
+        for c in all_curves(field(p)):
+            assert {(p, c.a, c.b, (3,)), (p, c.a, c.b, (5,))} <= found
+    assert _weil_records(stats, "tower") == []
+
+
 def _stats_hash(stats: dict) -> str:
     return hashlib.sha256(json.dumps(stats, sort_keys=True).encode()).hexdigest()
 

@@ -198,9 +198,13 @@ class PrimeField:
             p = self.p
             if p > _CHI_TABLE_MAX:
                 raise ValueError(f"chi table guarded at p <= {_CHI_TABLE_MAX}")
+            # x and p - x have one square, so x <= (p - 1) / 2 reach every
+            # nonzero square; squared in place, 4 B per table entry
+            squares = np.arange(1, (p + 1) // 2, dtype=np.int64)
+            np.multiply(squares, squares, out=squares)
+            np.remainder(squares, p, out=squares)
             table = np.full(p, -1, dtype=np.int8)
-            xs = np.arange(p, dtype=np.int64)
-            table[xs * xs % p] = 1
+            table[squares] = 1
             table[0] = 0
             self._chi_table = table
         return self._chi_table
@@ -399,15 +403,18 @@ def _powers(g: int, n: int, p: int) -> np.ndarray:
 
 def pow_array(values: np.ndarray, e: int, p: int) -> np.ndarray:
     """values^e mod p elementwise for an int64 array of residues, by one
-    square-and-multiply over the whole array; needs (p - 1)**2 < 2**63."""
+    square-and-multiply over the whole array, in place on two arrays of its
+    length; needs (p - 1)**2 < 2**63."""
     out = np.ones_like(values)
     base = values.copy()
     while e:
         if e & 1:
-            out = out * base % p
+            np.multiply(out, base, out=out)
+            np.remainder(out, p, out=out)
         e >>= 1
         if e:
-            base = base * base % p
+            np.multiply(base, base, out=base)
+            np.remainder(base, p, out=base)
     return out
 
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from importlib import import_module
 
 import numpy as np
@@ -62,6 +63,40 @@ def test_inverse_table():
     assert all(x * int(table[x]) % 1009 == 1 for x in range(1, 1009))
     with pytest.raises(ValueError, match="inverse table guarded"):
         PrimeField(4_194_319).inverse_table()
+
+
+@pytest.mark.parametrize("p", [5, 7, 97, 1009, 65_537, 999_983])
+def test_field_tables_match_the_full_length_formulas(p):
+    # the in-place builds against the formulas they replaced: every x squared
+    # mod p, and x^(p - 2) by full-length products
+    fld = PrimeField(p)  # a fresh field, so that both tables are built here
+    xs = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[xs * xs % p] = 1
+    chi[0] = 0
+    assert np.array_equal(fld.chi_table(), chi)
+    inv, base, e = np.ones_like(xs), xs.copy(), p - 2
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base, e = base * base % p, e >> 1
+    assert fld.inverse_table().dtype == np.int32
+    assert np.array_equal(fld.inverse_table(), inv)
+
+
+def test_chi_table_peak_memory_is_in_place():
+    # the squares of 1..(p - 1)/2 in one int64 array, squared in place, and
+    # the int8 table: 5 B per entry, 20.0 MiB measured at p = 4 194 301 (the
+    # full-length build peaked at 100 MiB)
+    fld = PrimeField(4_194_301)
+    tracemalloc.start()
+    try:
+        table = fld.chi_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int((table == 1).sum()) == int((table == -1).sum()) == (fld.p - 1) // 2
+    assert peak <= 5.25 * fld.p
 
 
 # -- quadratic character -----------------------------------------------------------

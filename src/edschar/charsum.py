@@ -42,6 +42,7 @@ import numpy as np
 
 from .curve import EllipticCurve, Point, group_grid
 from .eds import INDEX_LIMIT, EdsView, least_shift, psi_window
+from .field import PrimeField
 from .symbolic import division_poly_tower, horner
 
 TWO_PI = 2.0 * math.pi
@@ -354,16 +355,22 @@ def _ell_polys(curve: EllipticCurve, ells: tuple[int, ...]) -> list[np.ndarray]:
     return [tower[l][1] for l in ells]
 
 
+def _chi_grids(fld: PrimeField, xs: np.ndarray, polys: np.ndarray) -> np.ndarray:
+    """chi(f(x)) on stacked group grids: xs the (..., M, L) grid abscissae,
+    polys (..., D) coefficient rows broadcast against the leading axes of xs,
+    0 at each grid's infinity slot (0, 0).  One horner over the whole stack,
+    then one chi-table gather."""
+    out = fld.chi_table()[horner(polys[..., None, None, :], xs, fld.p)]
+    out[..., 0, 0] = 0
+    return out
+
+
 def _chi_grid(curve: EllipticCurve, polys) -> np.ndarray:
     """chi(f(P)) on the (M, L) group grid, f = the product of the coefficient
-    arrays in polys (the f_ell of odd psi_ell); 0 at the infinity slot."""
+    arrays in polys (the f_ell of odd psi_ell); 0 at the infinity slot.  The
+    one-curve call of _chi_grids."""
     _, xs, _ = group_grid(curve)
-    out = np.ones(xs.shape, dtype=np.int8)
-    table = curve.field.chi_table()
-    for f in polys:
-        out = out * table[horner(f, xs, curve.p)]
-    out[0, 0] = 0
-    return out
+    return _chi_grids(curve.field, xs, _stack_rows(polys)).prod(axis=0, dtype=np.int8)
 
 
 def _stack_rows(polys) -> np.ndarray:

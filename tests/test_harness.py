@@ -333,20 +333,100 @@ def test_sweep_weil_tower_anchor_sees_rolled_rows(monkeypatch):
 def test_sweep_weil_trivial_sum_anchor_sees_a_flipped_cell(monkeypatch):
     # one non-infinity cell of every chi grid changed (0 -> 1, +-1 -> -+1):
     # each psi_3 and psi_5 spectrum's trivial entry moves by 1 or 2
-    grids = charsum._chi_grid
+    grids = charsum._chi_grids
 
-    def flipped(curve, polys):
-        out = grids(curve, polys)
-        out[1, 0] = 1 if out[1, 0] == 0 else -out[1, 0]
+    def flipped(fld, xs, polys):
+        out = grids(fld, xs, polys)
+        cell = out[..., 1, 0]
+        out[..., 1, 0] = np.where(cell == 0, 1, -cell)
         return out
 
-    monkeypatch.setattr(charsum, "_chi_grid", flipped)
+    monkeypatch.setattr(charsum, "_chi_grids", flipped)
     stats = harness.sweep_weil(5, 13)
     found = {(f["p"], f["a"], f["b"], tuple(f["ells"])) for f in _weil_records(stats, "trivial-sum")}
     for p in (5, 7, 11, 13):
         for c in all_curves(field(p)):
             assert {(p, c.a, c.b, (3,)), (p, c.a, c.b, (5,))} <= found
     assert _weil_records(stats, "tower") == []
+
+
+def test_sweep_weil_stacks_match_each_curve_alone():
+    # every curve at p <= 13, stacked by shape as sweep_weil stacks them:
+    # tops and gaps bit for bit those of the curve's own 2-D spectra
+    for p in (5, 7, 11, 13):
+        fld = field(p)
+        curves = list(all_curves(fld))
+        tower = harness.division_poly_batch(curves, 5)
+        rows = charsum._stack_rows([tower[3][1], tower[5][1]])
+        shapes = {}
+        for (m, l), idx in _by_shape(curves).items():
+            groups = [g for g in charsum.small_character_subgroups(m, l) if len(g) > 1]
+            masks = np.stack([np.ones((m, l), bool), *(charsum.subgroup_mask(m, l, g) for g in groups)])
+            tops, gaps, zeros = harness._weil_shape(fld, [curves[n] for n in idx], rows[idx], groups, masks)
+            shapes[m, l] = len(idx)
+            for n, top, gap, zero in zip(idx, tops, gaps, zeros):
+                f3, f5 = tower[3][1][n], tower[5][1][n]
+                for i, polys in enumerate([(f3,), (f5,), (f3, f5)]):
+                    grid = charsum._chi_grid(curves[n], polys)
+                    full = charsum._spectrum(grid)
+                    want_top = [np.abs(full).max()]
+                    want_gap = []
+                    for omega_h, mask in zip(groups, masks[1:]):
+                        sub = charsum._spectrum(grid * mask)
+                        want_top.append(np.abs(sub).max())
+                        want_gap.append(np.abs(sub - charsum.averaged_spectrum(full, omega_h)).max())
+                    assert top[i].tolist() == want_top
+                    assert gap[i].tolist() == want_gap
+                    assert zero[i] == full[0, 0]
+        assert sum(shapes.values()) == len(curves)
+
+
+def _by_shape(curves) -> dict:
+    out = {}
+    for n, curve in enumerate(curves):
+        s = harness.group_structure(curve)
+        out.setdefault((s.m, s.l), []).append(n)
+    return out
+
+
+def test_sweep_weil_stats_do_not_depend_on_chunking(monkeypatch):
+    # a budget of a few curves splits every prime and most shapes over many
+    # chunks; the stats equal those of one chunk per prime
+    monkeypatch.setattr(harness, "WEIL_CELLS", 1 << 30)
+    whole = harness.sweep_weil(5, 17)
+    spans = []
+    chunks = harness._weil_chunks
+
+    def counted(fld, rows, shapes):
+        for chunk in chunks(fld, rows, shapes):
+            spans.append((fld.p, len({(s.m, s.l) for _, s, _ in chunk})))
+            yield chunk
+
+    monkeypatch.setattr(harness, "_weil_chunks", counted)
+    monkeypatch.setattr(harness, "WEIL_CELLS", 300)
+    split = harness.sweep_weil(5, 17)
+    assert split == whole
+    assert [p for p, _ in spans].count(5) > 1 and len(spans) > 100
+
+
+def test_sweep_weil_peak_memory_is_the_towers(monkeypatch):
+    # chunks of WEIL_CELLS spectrum cells keep the stacks below the prime's
+    # tower.  The curves come with their structures and grids built before
+    # tracing, which would slow their scalar point arithmetic tenfold.  So
+    # traced, the sweep that took one curve at a time peaked at 9.29 MiB, in
+    # its tower; the stacked sweep peaks there too (83 MiB unchunked)
+    curves = list(all_curves(field(97)))
+    for curve in curves:
+        curve_module.group_grid(curve)
+    monkeypatch.setattr(harness, "all_curves", lambda fld: iter(curves))
+    tracemalloc.start()
+    try:
+        stats = harness.sweep_weil(97, 97)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["curves"] == 97 * 96 and stats["failures"] == []
+    assert peak <= 9.3 * 2**20
 
 
 def _stats_hash(stats: dict) -> str:

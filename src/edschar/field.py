@@ -198,7 +198,7 @@ class PrimeField:
             p = self.p
             if p > _CHI_TABLE_MAX:
                 raise ValueError(f"chi table guarded at p <= {_CHI_TABLE_MAX}")
-            # x and p - x have one square, so x <= (p - 1) / 2 reach every
+            # x and p - x have the same square, so x <= (p - 1) / 2 reach every
             # nonzero square; squared in place, 4 B per table entry
             squares = np.arange(1, (p + 1) // 2, dtype=np.int64)
             np.multiply(squares, squares, out=squares)

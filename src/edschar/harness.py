@@ -471,25 +471,28 @@ def sweep_oracle_random(n_curves: int = 50, seed: int = 0, n_max: int = 2000) ->
 WEIL_ELL_SETS = ((3,), (5,), (3, 5))
 
 
-def _weil_anchors(fld: PrimeField, curves: list, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Criterion 6's exact anchors for a run of curves of one prime, rows
-    their (curves, 2, D) tower rows f_3 and f_5.  Per curve: whether both
-    rows agree at every x in F_p with the closed forms psi_3 and
-    f_5 = 8 C^2 f_4 - f_3^3 (C = x^3 + Ax + B, f_4 = psi_4 / y); and, per ell
-    set of WEIL_ELL_SETS, the exact trivial-character sum
-    sum_x (1 + chi(C(x))) chi(f(x)) over the closed forms, each x counted
-    once per point above it.  Neither reads a grid or a spectrum."""
+def _weil_anchors(
+    fld: PrimeField, curves: list, f3: np.ndarray, f5: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Criterion 6's exact anchors for a run of curves of one prime, f3 and
+    f5 their tower rows (curves, D).  Per curve: whether both rows agree at
+    every x in F_p with the closed forms psi_3 and f_5 = 8 C^2 f_4 - f_3^3
+    (C = x^3 + Ax + B, f_4 = psi_4 / y); and, per ell set of WEIL_ELL_SETS,
+    the exact trivial-character sum sum_x (1 + chi(C(x))) chi(f(x)) over the
+    closed forms, each x counted once per point above it.  Neither reads a
+    grid or a spectrum."""
     p = fld.p
     a = np.array([c.a for c in curves], dtype=np.int64)[:, None]
     b = np.array([c.b for c in curves], dtype=np.int64)[:, None]
     x = np.arange(p, dtype=np.int64)
-    f3, f4 = _psi3_f4(p, a, b, x)
+    psi3, f4 = _psi3_f4(p, a, b, x)
     rhs = (x * x % p * x + a * x + b) % p
-    f5 = (8 * (rhs * rhs % p) % p * f4 - f3 * f3 % p * f3) % p
-    tower_ok = (horner(rows[:, :, None, :], x, p) == np.stack([f3, f5], 1)).all(axis=(1, 2))
+    psi5 = (8 * (rhs * rhs % p) % p * f4 - psi3 * psi3 % p * psi3) % p
+    tower_ok = (horner(f3[:, None, :], x, p) == psi3).all(1)
+    tower_ok &= (horner(f5[:, None, :], x, p) == psi5).all(1)
     chi = fld.chi_table()
     points = 1 + chi[rhs].astype(np.int64)
-    c3, c5 = chi[f3], chi[f5]
+    c3, c5 = chi[psi3], chi[psi5]
     trivial = np.stack([points * c3, points * c5, points * (c3 * c5)], 1).sum(-1)
     return tower_ok, trivial
 
@@ -497,20 +500,21 @@ def _weil_anchors(fld: PrimeField, curves: list, rows: np.ndarray) -> tuple[np.n
 # Spectrum cells (curves x 3 ell sets x (1 + k) masks x M x L, complex128)
 # per chunk of one prime's curves in sweep_weil.  Every shape of a chunk is
 # one stack, so larger chunks stack more curves per shape: with structures
-# built beforehand, sweep_weil(97, 97) took 1.6 s at 2^17, 1.3 s at 2^18 and
-# 1.1 s at 2^20, against 2.1 s one curve at a time.  Its traced peak after
-# the tower was 4.7, 5.8 and 16.1 MiB; the tower's own is 9.2 MiB.
+# built beforehand, sweep_weil(97, 97) took 1.4 s at 2^17, 1.1 s at 2^18 and
+# 0.9 s at 2^20, against 2.1 s one curve at a time.  Traced with its tower
+# built beforehand, it added 2.5, 3.1 and 11.5 MiB to what the tower holds;
+# the tower's own peak is 9.2 MiB.
 WEIL_CELLS = 1 << 18
 
 
-def _weil_chunks(fld: PrimeField, rows: np.ndarray, shapes: dict):
-    """A prime's curves, made afresh in (A, B) order, with their structures
-    and tower rows, in runs of at most WEIL_CELLS spectrum cells (a lone
-    curve past it is a run of its own); shapes gains each new (M, L)'s
-    annihilator groups and its (1 + k, M, L) stack of masks, all true (the
-    full group) first."""
+def _weil_chunks(fld: PrimeField, shapes: dict):
+    """A prime's curves, made afresh in (A, B) order, each as (n, curve,
+    structure) with n its place in that order, in runs of at most WEIL_CELLS
+    spectrum cells (a lone curve past it is a run of its own); shapes gains
+    each new (M, L)'s annihilator groups and its (1 + k, M, L) stack of
+    masks, all true (the full group) first."""
     chunk, cells = [], 0
-    for curve, row in zip(all_curves(fld), rows):
+    for n, curve in enumerate(all_curves(fld)):
         s = group_structure(curve)
         if (s.m, s.l) not in shapes:
             groups = [g for g in charsum.small_character_subgroups(s.m, s.l) if len(g) > 1]
@@ -520,24 +524,26 @@ def _weil_chunks(fld: PrimeField, rows: np.ndarray, shapes: dict):
         if chunk and cells + size > WEIL_CELLS:
             yield chunk
             chunk, cells = [], 0
-        chunk.append((curve, s, row))
+        chunk.append((n, curve, s))
         cells += size
     if chunk:
         yield chunk
 
 
-def _weil_shape(fld: PrimeField, curves: list, rows: np.ndarray, groups: list, masks: np.ndarray):
-    """Criterion 6's sums for curves of one prime and one shape (M, L), rows
-    their (curves, 2, D) tower rows f_3 and f_5.  The chi grids of f_3, f_5
-    and f_3 f_5 under every mask are one (curves, 3, 1 + k, M, L) ifft2, and
+def _weil_shape(
+    fld: PrimeField, curves: list, f3: np.ndarray, f5: np.ndarray, groups: list, masks: np.ndarray
+):
+    """Criterion 6's sums for curves of one prime and one shape (M, L), f3
+    and f5 their tower rows (curves, D).  The chi grids of f_3, f_5 and
+    f_3 f_5 under every mask are one (curves, 3, 1 + k, M, L) ifft2, and
     each annihilator group of groups is one averaged_spectrum gather.
     Returns the top moduli (curves, 3, 1 + k), the averaging gaps
     (curves, 3, k) and the full-group trivial entries (curves, 3)."""
     xs = np.stack([group_grid(curve)[1] for curve in curves])
-    g = charsum._chi_grids(fld, xs[:, None], rows)
+    g3, g5 = charsum._chi_grids(fld, xs, f3), charsum._chi_grids(fld, xs, f5)
     # chi(psi_3 psi_5) = chi(psi_3) chi(psi_5) entrywise, and the infinity
     # slot is 0 in both grids, so two grids serve all three
-    spec = charsum._spectrum(np.stack([g[:, 0], g[:, 1], g[:, 0] * g[:, 1]], 1)[:, :, None] * masks)
+    spec = charsum._spectrum(np.stack([g3, g5, g3 * g5], 1)[:, :, None] * masks)
     tops = np.abs(spec).max(axis=(-2, -1))
     # per subgroup, the gap of each masked spectrum to the average of its
     # full spectrum over the annihilator
@@ -585,24 +591,25 @@ def sweep_weil(p_min: int = 5, p_max: int = 100) -> dict:
         fld, sqrt_p = field(p), math.sqrt(p)
         # psi_3 and psi_5 of every curve of the prime from one batched tower
         tower = division_poly_batch(list(all_curves(fld)), 5)
-        rows = charsum._stack_rows([tower[3][1], tower[5][1]])
+        f3, f5 = tower[3][1], tower[5][1]
         del tower
-        for chunk in _weil_chunks(fld, rows, shapes):
-            curves = [curve for curve, _, _ in chunk]
-            chunk_rows = np.stack([row for _, _, row in chunk])
-            tower_ok, trivial = _weil_anchors(fld, curves, chunk_rows)
+        for chunk in _weil_chunks(fld, shapes):
+            at = [n for n, _, _ in chunk]
+            curves = [curve for _, curve, _ in chunk]
+            tower_ok, trivial = _weil_anchors(fld, curves, f3[at], f5[at])
             by_shape: dict[tuple[int, int], list[int]] = {}
-            for n, (_, s, _) in enumerate(chunk):
-                by_shape.setdefault((s.m, s.l), []).append(n)
+            for i, (_, _, s) in enumerate(chunk):
+                by_shape.setdefault((s.m, s.l), []).append(i)
             sums = [None] * len(chunk)  # (tops, gaps, trivial gaps) per curve
             for shape, idx in by_shape.items():
+                rows = [at[i] for i in idx]
                 tops, gaps, zeros = _weil_shape(
-                    fld, [curves[n] for n in idx], chunk_rows[idx], *shapes[shape]
+                    fld, [curves[i] for i in idx], f3[rows], f5[rows], *shapes[shape]
                 )
                 trivial_gaps = np.abs(zeros - trivial[idx])
-                for n, *curve_sums in zip(idx, tops.tolist(), gaps.tolist(), trivial_gaps.tolist()):
-                    sums[n] = curve_sums
-            for n, (curve, s, _) in enumerate(chunk):
+                for i, *curve_sums in zip(idx, tops.tolist(), gaps.tolist(), trivial_gaps.tolist()):
+                    sums[i] = curve_sums
+            for n, (_, curve, s) in enumerate(chunk):
                 stats["curves"] += 1
                 if not tower_ok[n]:
                     stats["failures"].append({**_where(curve), "check": "tower"})

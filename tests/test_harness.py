@@ -357,16 +357,17 @@ def test_sweep_weil_stacks_match_each_curve_alone():
         fld = field(p)
         curves = list(all_curves(fld))
         tower = harness.division_poly_batch(curves, 5)
-        rows = charsum._stack_rows([tower[3][1], tower[5][1]])
+        f3, f5 = tower[3][1], tower[5][1]
         shapes = {}
         for (m, l), idx in _by_shape(curves).items():
             groups = [g for g in charsum.small_character_subgroups(m, l) if len(g) > 1]
             masks = np.stack([np.ones((m, l), bool), *(charsum.subgroup_mask(m, l, g) for g in groups)])
-            tops, gaps, zeros = harness._weil_shape(fld, [curves[n] for n in idx], rows[idx], groups, masks)
+            tops, gaps, zeros = harness._weil_shape(
+                fld, [curves[n] for n in idx], f3[idx], f5[idx], groups, masks
+            )
             shapes[m, l] = len(idx)
             for n, top, gap, zero in zip(idx, tops, gaps, zeros):
-                f3, f5 = tower[3][1][n], tower[5][1][n]
-                for i, polys in enumerate([(f3,), (f5,), (f3, f5)]):
+                for i, polys in enumerate([(f3[n],), (f5[n],), (f3[n], f5[n])]):
                     grid = charsum._chi_grid(curves[n], polys)
                     full = charsum._spectrum(grid)
                     want_top = [np.abs(full).max()]
@@ -397,9 +398,9 @@ def test_sweep_weil_stats_do_not_depend_on_chunking(monkeypatch):
     spans = []
     chunks = harness._weil_chunks
 
-    def counted(fld, rows, shapes):
-        for chunk in chunks(fld, rows, shapes):
-            spans.append((fld.p, len({(s.m, s.l) for _, s, _ in chunk})))
+    def counted(fld, shapes):
+        for chunk in chunks(fld, shapes):
+            spans.append((fld.p, len({(s.m, s.l) for _, _, s in chunk})))
             yield chunk
 
     monkeypatch.setattr(harness, "_weil_chunks", counted)
@@ -409,24 +410,30 @@ def test_sweep_weil_stats_do_not_depend_on_chunking(monkeypatch):
     assert [p for p, _ in spans].count(5) > 1 and len(spans) > 100
 
 
-def test_sweep_weil_peak_memory_is_the_towers(monkeypatch):
-    # chunks of WEIL_CELLS spectrum cells keep the stacks below the prime's
-    # tower.  The curves come with their structures and grids built before
-    # tracing, which would slow their scalar point arithmetic tenfold.  So
-    # traced, the sweep that took one curve at a time peaked at 9.29 MiB, in
-    # its tower; the stacked sweep peaks there too (83 MiB unchunked)
+def test_sweep_weil_stacks_stay_below_the_tower(monkeypatch):
+    # sweep_weil(97, 97)'s traced peak is its prime's tower (9.2 MiB); the
+    # anchors and stacks of WEIL_CELLS-cell chunks, traced after the tower
+    # is built, add 3.1 MiB to what the tower holds (80 MiB unchunked).
+    # The curves come with their structures and grids built before tracing,
+    # which would slow their scalar point arithmetic tenfold
     curves = list(all_curves(field(97)))
     for curve in curves:
         curve_module.group_grid(curve)
     monkeypatch.setattr(harness, "all_curves", lambda fld: iter(curves))
     tracemalloc.start()
     try:
+        tower = harness.division_poly_batch(curves, 5)
+        tower_peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(harness, "division_poly_batch", lambda curves, n_max: tower)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
         stats = harness.sweep_weil(97, 97)
-        peak = tracemalloc.get_traced_memory()[1]
+        stacks = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert stats["curves"] == 97 * 96 and stats["failures"] == []
-    assert peak <= 9.3 * 2**20
+    assert stacks <= 4 * 2**20
+    assert held + stacks < tower_peak
 
 
 def _stats_hash(stats: dict) -> str:

@@ -588,7 +588,8 @@ def sweep_weil(p_min: int = 5, p_max: int = 100) -> dict:
         "failures": [],
     }
     for p in primes_in(p_min, p_max):
-        fld, sqrt_p = field(p), math.sqrt(p)
+        fld = field(p)
+        bounds = [2 * charsum.weil_degree(ells) * math.sqrt(p) for ells in WEIL_ELL_SETS]
         # psi_3 and psi_5 of every curve of the prime from one batched tower
         tower = division_poly_batch(list(all_curves(fld)), 5)
         f3, f5 = tower[3][1], tower[5][1]
@@ -615,9 +616,7 @@ def sweep_weil(p_min: int = 5, p_max: int = 100) -> dict:
                     stats["failures"].append({**_where(curve), "check": "tower"})
                 fft_err = charsum.spectrum_err_bound(s.size)
                 tops, gaps, trivial_gaps = sums[n]
-                for i, ells in enumerate(WEIL_ELL_SETS):
-                    d = charsum.weil_degree(ells)
-                    bound = 2 * d * sqrt_p
+                for i, (ells, bound) in enumerate(zip(WEIL_ELL_SETS, bounds)):
                     stats["spectra"] += 1
                     top, *sub_tops = tops[i]
                     stats["max_ratio"] = max(stats["max_ratio"], top / bound)
